@@ -39,7 +39,6 @@ from .errors import NumericError, StructureError, ValidationError
 from .graph import (
     DirectedLaplacian,
     SignedLaplacianQ,
-    is_weight_balanced,
     sym_pinv,
     validate_class_q,
 )
@@ -146,7 +145,8 @@ def undirect(lap: DirectedLaplacian) -> SignedLaplacianQ:
     come out negative, which is exactly why the signed class is needed.
     """
     _require_scwb(lap)
-    report = validate_class_q(pseudoinverse(sym_pinv(lap)))
+    k = pseudoinverse(sym_pinv(lap))
+    report = validate_class_q((k + k.T) / 2.0)
     if not report.ok:
         raise NumericError(
             f"undirected image failed validation ({report.failure}); "
@@ -158,7 +158,7 @@ def undirect(lap: DirectedLaplacian) -> SignedLaplacianQ:
 def _require_scwb(lap):
     if not lap.strongly_connected:
         raise StructureError("requires a strongly connected graph")
-    if not is_weight_balanced(lap):
+    if not lap.weight_balanced:
         raise StructureError("requires a weight-balanced graph")
 
 

@@ -12,7 +12,12 @@ Laplacians of strongly connected weight-balanced graphs, and they are the
 natural domain for resistance geometry on signed graphs.
 
 Edge existence is decided by exact nonzero weight; no epsilon thresholding
-is applied to the sparsity pattern.
+is applied to the sparsity pattern.  Every structural question is one
+closure: the set of nodes a directed search from a seed set reaches.  A
+graph is strongly connected when the forward and the backward closure of
+node 0 each cover every node, and Kron reduction onto a kept set is defined
+when the backward closure of that set (the nodes with a path into it)
+covers every node.
 """
 
 from __future__ import annotations
@@ -37,63 +42,40 @@ STRUCTURAL_TOL = 1e-9
 
 
 def _scale(m):
-    return max(1.0, float(np.abs(m).max())) if m.size else 1.0
+    return max(1.0, float(m.max()), -float(m.min())) if m.size else 1.0
 
 
-def _successors(matrix):
-    """Adjacency lists of the off-diagonal sparsity pattern."""
+def _reached(matrix, seeds):
+    """Boolean mask of the nodes that directed paths from ``seeds`` reach.
+
+    An edge ``i -> j`` is an exactly nonzero off-diagonal entry
+    ``matrix[i, j]`` (diagonal entries are self-loops and change nothing);
+    pass ``matrix.T`` to get the nodes with a path into ``seeds`` instead.
+    Adjacency lists come from one ``nonzero`` over the flattened pattern
+    and are walked by a stack search, so after that one pass over the
+    matrix the cost is linear in nodes plus edges.
+    """
     n = matrix.shape[0]
-    adj = []
-    for i in range(n):
-        row = matrix[i]
-        adj.append([j for j in range(n) if j != i and row[j] != 0.0])
-    return adj
+    # Edge i -> j sits at flat index i * n + j, so rows are contiguous runs.
+    flat = (matrix != 0.0).ravel().nonzero()[0]
+    bounds = np.searchsorted(flat, np.arange(0, n * n + 1, n)).tolist()
+    cols = (flat % n).tolist()
+    seen = [False] * n
+    stack = [int(s) for s in seeds]
+    for s in stack:
+        seen[s] = True
+    while stack:
+        v = stack.pop()
+        for w in cols[bounds[v]:bounds[v + 1]]:
+            if not seen[w]:
+                seen[w] = True
+                stack.append(w)
+    return np.array(seen)
 
 
-def _count_sccs(adj):
-    """Number of strongly connected components (iterative Tarjan)."""
-    n = len(adj)
-    index = [-1] * n
-    low = [0] * n
-    on_stack = [False] * n
-    stack = []
-    count = 0
-    counter = 0
-    for root in range(n):
-        if index[root] != -1:
-            continue
-        work = [(root, 0)]
-        while work:
-            v, pi = work[-1]
-            if pi == 0:
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            descended = False
-            for i in range(pi, len(adj[v])):
-                w = adj[v][i]
-                if index[w] == -1:
-                    work[-1] = (v, i + 1)
-                    work.append((w, 0))
-                    descended = True
-                    break
-                if on_stack[w]:
-                    low[v] = min(low[v], index[w])
-            if descended:
-                continue
-            work.pop()
-            if low[v] == index[v]:
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    if w == v:
-                        break
-                count += 1
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
-    return count
+def _columns_balanced(matrix, tol):
+    """Whether every column sum vanishes within ``tol`` of the matrix scale."""
+    return bool(np.abs(matrix.sum(axis=0)).max() <= tol * _scale(matrix))
 
 
 class DirectedLaplacian:
@@ -101,7 +83,11 @@ class DirectedLaplacian:
 
     The stored matrix is read-only; its diagonal equals minus the row sum
     of the off-diagonal part by construction.  Strong connectivity and
-    weight balance are computed once at construction and cached.
+    weight balance are computed once at construction and cached: the
+    graph is strongly connected when the forward and the backward closure
+    of node 0 both cover every node (a single node counts as connected),
+    and weight balanced when :func:`is_weight_balanced` holds at the
+    default tolerance.
 
     Raises
     ------
@@ -118,26 +104,26 @@ class DirectedLaplacian:
         if n < 1:
             raise ValidationError("laplacian must have at least one node")
         scale = _scale(m)
-        off = m.copy()
-        np.fill_diagonal(off, 0.0)
-        if off.size and off.max() > 0.0:
-            i, j = np.unravel_index(np.argmax(off), off.shape)
+        rowsum = np.abs(m.sum(axis=1)).max()
+        np.fill_diagonal(m, 0.0)
+        if m.max() > 0.0:
+            i, j = np.unravel_index(np.argmax(m), m.shape)
             raise ValidationError(
                 f"off-diagonal entry ({i}, {j}) = {m[i, j]:.6e} is positive; "
                 "directed edge weights enter as nonpositive entries"
             )
-        rowsum = np.abs(m.sum(axis=1)).max()
         if rowsum > 1e-12 * scale:
             raise ValidationError(
                 f"row sums deviate from zero by {rowsum:.3e}"
             )
-        np.fill_diagonal(m, -off.sum(axis=1))
+        np.fill_diagonal(m, -m.sum(axis=1))
         m.setflags(write=False)
         self.matrix = m
         self.n = n
-        self.strongly_connected = _count_sccs(_successors(m)) == 1
-        colsum = np.abs(m.sum(axis=0)).max() if n else 0.0
-        self.weight_balanced = bool(colsum <= STRUCTURAL_TOL * scale)
+        self.strongly_connected = bool(
+            _reached(m, [0]).all() and _reached(m.T, [0]).all()
+        )
+        self.weight_balanced = _columns_balanced(m, STRUCTURAL_TOL)
 
     def __repr__(self):
         flags = []
@@ -299,8 +285,7 @@ def is_strongly_connected(lap: DirectedLaplacian) -> bool:
 
 def is_weight_balanced(lap: DirectedLaplacian, tol=STRUCTURAL_TOL) -> bool:
     """Whether column sums vanish as well (in-weight equals out-weight)."""
-    colsum = np.abs(lap.matrix.sum(axis=0)).max()
-    return bool(colsum <= tol * _scale(lap.matrix))
+    return _columns_balanced(lap.matrix, tol)
 
 
 @dataclass(frozen=True)
@@ -369,25 +354,7 @@ def is_reachable_subset(lap: DirectedLaplacian, alpha) -> bool:
     least two nodes.
     """
     kept = normalize_indices(alpha, lap.n, min_size=2, name="alpha")
-    return not _unreachable_nodes(lap, kept)
-
-
-def _unreachable_nodes(lap: DirectedLaplacian, kept):
-    """Nodes with no directed path into ``kept`` (backward search)."""
-    matrix = lap.matrix
-    n = lap.n
-    visited = np.zeros(n, dtype=bool)
-    visited[kept] = True
-    frontier = list(kept)
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for u in range(n):
-                if not visited[u] and u != v and matrix[u, v] != 0.0:
-                    visited[u] = True
-                    nxt.append(u)
-        frontier = nxt
-    return [int(u) for u in np.flatnonzero(~visited)]
+    return bool(_reached(lap.matrix.T, kept).all())
 
 
 def symmetrized(lap: DirectedLaplacian) -> np.ndarray:

@@ -19,9 +19,8 @@ from .errors import NumericError, StructureError
 from .graph import (
     DirectedLaplacian,
     SignedLaplacianQ,
+    _reached,
     _scale,
-    _unreachable_nodes,
-    is_weight_balanced,
     validate_class_q,
 )
 from .linalg import normalize_indices, schur_complement
@@ -72,7 +71,7 @@ def kron_reduce(lap: DirectedLaplacian, keep) -> KronResult:
         If the eliminated block is numerically singular anyway.
     """
     kept = normalize_indices(keep, lap.n, min_size=2)
-    unreachable = _unreachable_nodes(lap, kept)
+    unreachable = np.flatnonzero(~_reached(lap.matrix.T, kept)).tolist()
     if unreachable:
         raise StructureError(
             f"nodes {unreachable} have no directed path into the kept set "
@@ -94,7 +93,7 @@ def kron_reduce(lap: DirectedLaplacian, keep) -> KronResult:
     flags = PreservedFlags(
         row_sums_zero=row_sums_zero,
         offdiag_nonpos=offdiag_nonpos,
-        weight_balanced=is_weight_balanced(reduced),
+        weight_balanced=reduced.weight_balanced,
         strongly_connected=reduced.strongly_connected,
     )
     return KronResult(reduced=reduced, kept=kept, preserved=flags)

@@ -156,15 +156,6 @@ def pseudoinverse(a, rank_tol=None):
     return (d.v[:, keep] / d.s[keep]) @ d.u[:, keep].T
 
 
-def _check_block_condition(block, indices):
-    cond = np.linalg.cond(block)
-    if not np.isfinite(cond) or cond > COND_LIMIT:
-        raise DegenerateBlockError(
-            f"eliminated block over nodes {list(indices)} is singular or "
-            f"ill-conditioned (cond {cond:.3e} > {COND_LIMIT:.0e})"
-        )
-
-
 def schur_complement(a, keep, cond_limit=COND_LIMIT):
     """Schur complement of ``a`` onto the ``keep`` indices.
 

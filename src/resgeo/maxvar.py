@@ -148,34 +148,46 @@ def verify_kkt(omega, f, tol=1e-9) -> KktCheck:
     support = np.flatnonzero(v > 1e-12)
     if support.size == 0:
         raise ValidationError("distribution has empty support")
-    g = om @ v
-    residual = float(max(0.0, g.max() - g[support].min()))
+    residual = _kkt_residual(om @ v, support)
     return KktCheck(ok=residual <= tol * _scale(om), residual=residual,
                     support=support)
 
 
-def _stationary_on_face(om, nodes):
-    """Interior stationary distribution on a face, or ``None``.
+def _kkt_residual(g, support):
+    """``max_j g_j - min_{i in support} g_i`` clipped at zero."""
+    return float(max(0.0, g.max() - g[support].min()))
 
-    Solves ``Omega[V, V] x = 1`` and normalizes; rejects faces whose
-    stationary point is not strictly positive or whose block is singular.
+
+def _face_point(om, nodes):
+    """Normalized solution of ``Omega[V, V] x = 1`` on the face ``nodes``.
+
+    ``None`` when the face has fewer than two nodes, the block is
+    singular, or the solution is not finite or does not sum to a positive
+    value.  Whether the point is interior is left to the caller.
     """
+    if nodes.size < 2:
+        return None
     block = om[np.ix_(nodes, nodes)]
     try:
         x = np.linalg.solve(block, np.ones(nodes.size))
     except np.linalg.LinAlgError:
         return None
-    if not np.all(np.isfinite(x)):
+    total = x.sum()
+    if not np.all(np.isfinite(x)) or total <= 1e-14:
         return None
-    s = x.sum()
-    if s <= 1e-14:
-        return None
-    fv = x / s
-    if fv.min() <= INTERIOR_TOL:
-        return None
+    return x / total
+
+
+def _certified(om, nodes, fv, tol_cert, method):
+    """The solution with ``fv`` on ``nodes`` if its KKT residual passes."""
     f = np.zeros(om.shape[0])
     f[nodes] = fv
-    return f
+    g = om @ f
+    residual = _kkt_residual(g, nodes)
+    if residual > tol_cert:
+        return None
+    return MaxVarSolution(f=f, support=nodes, value=float(0.5 * f @ g),
+                          kkt_residual=residual, method=method)
 
 
 def solve_maxvar_exact(omega) -> MaxVarSolution:
@@ -205,17 +217,13 @@ def solve_maxvar_exact(omega) -> MaxVarSolution:
     tol_cert = 1e-9 * _scale(om)
     for size in range(n, 1, -1):
         for nodes in itertools.combinations(range(n), size):
-            f = _stationary_on_face(om, np.array(nodes))
-            if f is None:
+            nodes = np.array(nodes)
+            fv = _face_point(om, nodes)
+            if fv is None or fv.min() <= INTERIOR_TOL:
                 continue
-            g = om @ f
-            support = np.array(nodes)
-            residual = float(max(0.0, g.max() - g[support].min()))
-            if residual <= tol_cert:
-                return MaxVarSolution(
-                    f=f, support=support, value=float(0.5 * f @ g),
-                    kkt_residual=residual, method="exact",
-                )
+            solution = _certified(om, nodes, fv, tol_cert, "exact")
+            if solution is not None:
+                return solution
     raise NumericError(
         "no support admits a certified maximizer; "
         "the matrix is not a valid resistance geometry"
@@ -268,13 +276,20 @@ def solve_maxvar(omega, x0=None, tol=1e-9, max_iter=10000) -> MaxVarSolution:
     for it in range(max_iter):
         g = om @ f
         current = 0.5 * f @ g
-        support = np.flatnonzero(f > 1e-12)
-        residual = float(max(0.0, g.max() - g[support].min()))
+        residual = _kkt_residual(g, np.flatnonzero(f > 1e-12))
         history.append(residual)
         if residual <= tol_cert or it % 25 == 24:
-            finished = _finish(om, f, tol_cert)
-            if finished is not None:
-                return finished
+            # Exact finish: solve on the numeric support, dropping
+            # boundary-degenerate zeros and re-solving until interior.
+            nodes = np.flatnonzero(f > SUPPORT_TOL)
+            fv = _face_point(om, nodes)
+            while fv is not None and fv.min() <= INTERIOR_TOL:
+                nodes = nodes[fv > INTERIOR_TOL]
+                fv = _face_point(om, nodes)
+            if fv is not None:
+                solution = _certified(om, nodes, fv, tol_cert, "iterative")
+                if solution is not None:
+                    return solution
         t = step
         for _ in range(50):
             cand = project_to_simplex(f + t * g)
@@ -287,33 +302,6 @@ def solve_maxvar(omega, x0=None, tol=1e-9, max_iter=10000) -> MaxVarSolution:
         f"(last residual {history[-1]:.3e})",
         history=history,
     )
-
-
-def _finish(om, f, tol_cert):
-    """Support extraction, exact face solve, and re-certification."""
-    nodes = np.flatnonzero(f > SUPPORT_TOL)
-    while nodes.size >= 2:
-        block = om[np.ix_(nodes, nodes)]
-        try:
-            x = np.linalg.solve(block, np.ones(nodes.size))
-        except np.linalg.LinAlgError:
-            return None
-        if not np.all(np.isfinite(x)) or x.sum() <= 1e-14:
-            return None
-        fv = x / x.sum()
-        if fv.min() > INTERIOR_TOL:
-            exact = np.zeros(om.shape[0])
-            exact[nodes] = fv
-            g = om @ exact
-            residual = float(max(0.0, g.max() - g[nodes].min()))
-            if residual <= tol_cert:
-                return MaxVarSolution(
-                    f=exact, support=nodes, value=float(0.5 * exact @ g),
-                    kkt_residual=residual, method="iterative",
-                )
-            return None
-        nodes = nodes[fv > INTERIOR_TOL]
-    return None
 
 
 def characterize(solution: MaxVarSolution, source) -> CharacterizationReport:

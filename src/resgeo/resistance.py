@@ -35,7 +35,6 @@ from .graph import (
     SignedLaplacianQ,
     STRUCTURAL_TOL,
     _scale,
-    is_weight_balanced,
     sym_pinv,
     validate_class_q,
     weight_balance,
@@ -119,7 +118,7 @@ def resistance_matrix_scwb(lap: DirectedLaplacian) -> ResistanceMatrix:
     """Resistance matrix of a strongly connected weight-balanced graph."""
     if not lap.strongly_connected:
         raise StructureError("resistance matrix requires strong connectivity")
-    if not is_weight_balanced(lap):
+    if not lap.weight_balanced:
         raise StructureError(
             "this route requires weight balance; use resistance_matrix_sc"
         )
@@ -136,7 +135,7 @@ def resistance_matrix_sc(lap: DirectedLaplacian) -> ResistanceMatrix:
     """
     if not lap.strongly_connected:
         raise StructureError("resistance matrix requires strong connectivity")
-    if is_weight_balanced(lap):
+    if lap.weight_balanced:
         return resistance_matrix_scwb(lap)
     balancing = weight_balance(lap)
     omega_wb = _omega_from_kernel(sym_pinv(balancing.balanced))
@@ -262,7 +261,8 @@ def q_from_distance(distance, tol=STRUCTURAL_TOL) -> SignedLaplacianQ:
     n = d.shape[0]
     j = centering_projector(n)
     gram = -0.5 * (j @ d @ j)
-    report = validate_class_q(pseudoinverse((gram + gram.T) / 2.0), tol=tol)
+    q = pseudoinverse((gram + gram.T) / 2.0)
+    report = validate_class_q((q + q.T) / 2.0, tol=tol)
     if not report.ok:
         raise NumericError(
             "recovered matrix failed signed-Laplacian validation "

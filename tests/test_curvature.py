@@ -166,6 +166,34 @@ def test_commutativity_on_scwb():
     assert check.passed, check.residual
 
 
+def unbalanced_digraph(n, rng, extra_edges):
+    """Hamiltonian cycle plus random extra edges, weights on [0.5, 2]."""
+    adjacency = np.zeros((n, n))
+    order = rng.permutation(n)
+    adjacency[order, np.roll(order, -1)] = rng.uniform(0.5, 2.0, size=n)
+    src = rng.integers(0, n, size=extra_edges)
+    dst = rng.integers(0, n, size=extra_edges)
+    w = rng.uniform(0.5, 2.0, size=extra_edges)
+    loop = src == dst
+    np.add.at(adjacency, (src[~loop], dst[~loop]), w[~loop])
+    lap = -adjacency
+    np.fill_diagonal(lap, adjacency.sum(axis=1))
+    return DirectedLaplacian(lap)
+
+
+def test_undirect_symmetrizes_pseudoinverse_roundoff():
+    # On this balanced n=300 digraph the SVD pseudoinverse of L_s^+ is
+    # asymmetric by about 4e-11, above the 1e-12 symmetry check of the
+    # signed class; undirect must hand over an exactly symmetric matrix.
+    n = 300
+    rng = np.random.default_rng([602, 1])
+    balanced = weight_balance(unbalanced_digraph(n, rng, extra_edges=n)).balanced
+    q = undirect(balanced)
+    assert np.array_equal(q.matrix, q.matrix.T)
+    check = check_commutativity(balanced, np.sort(rng.choice(n, n // 2, replace=False)))
+    assert check.passed, check.residual
+
+
 def test_noncommutativity_witness():
     witness = check_noncommutativity(SHOWCASE, [0, 1, 3])
     assert witness.difference > 0.1

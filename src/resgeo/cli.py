@@ -75,6 +75,14 @@ def _json_value(value, indent):
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
+        if set(map(type, value)) == {float}:
+            # a row of floats in one pass, as the scalar branch writes
+            # each; only "nan", "inf" and "-inf" contain an "n"
+            text = ", ".join(["%.17g" % (v + 0.0) for v in value])
+            if "n" in text:
+                text = ", ".join(["null" if "n" in t else t
+                                  for t in text.split(", ")])
+            return "[" + text + "]"
         simple = all(not isinstance(v, (dict, list, tuple, np.ndarray))
                      for v in value)
         if simple:

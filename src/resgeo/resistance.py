@@ -43,7 +43,6 @@ from .kron import kron_reduce
 from .linalg import (
     as_square,
     centering_projector,
-    pseudoinverse,
     sym_eig,
 )
 
@@ -143,9 +142,8 @@ def resistance_matrix_sc(lap: DirectedLaplacian) -> ResistanceMatrix:
 
 
 def resistance_matrix_q(q: SignedLaplacianQ) -> ResistanceMatrix:
-    """Resistance matrix of a signed Laplacian via its pseudoinverse."""
-    return ResistanceMatrix(_omega_from_kernel(pseudoinverse(q.matrix)),
-                            kind="class_q")
+    """Resistance matrix of a signed Laplacian from its stored ``Q^+``."""
+    return ResistanceMatrix(_omega_from_kernel(q.pinv), kind="class_q")
 
 
 def _omega_from_kernel(kernel_matrix):
@@ -198,6 +196,12 @@ def classify_metric(distance, tol=STRUCTURAL_TOL) -> MetricClass:
         the Gram pseudoinverse has no positive off-diagonal entries beyond
         ``tol``, i.e. when it is an unsigned Laplacian.
     """
+    return _classify(distance, tol)[0]
+
+
+def _classify(distance, tol):
+    """:func:`classify_metric` plus the Gram pseudoinverse from its one
+    ``eigh`` (``None`` unless the label is strict)."""
     d = as_square(distance, "distance")
     n = d.shape[0]
     scale = _scale(d)
@@ -216,7 +220,7 @@ def classify_metric(distance, tol=STRUCTURAL_TOL) -> MetricClass:
     thr = tol * peak
     if w.size and w[-1] < -thr:
         return MetricClass(label="not_negative_type",
-                           witness=eig.vectors[:, -1].copy())
+                           witness=eig.vectors[:, -1].copy()), None
     kernel = int(np.sum(np.abs(w) <= thr)) if peak > 0.0 else n
     if kernel > 1:
         # pick the kernel direction most orthogonal to the all-ones vector
@@ -228,12 +232,12 @@ def classify_metric(distance, tol=STRUCTURAL_TOL) -> MetricClass:
         norm = np.linalg.norm(witness)
         if norm > 0:
             witness = witness / norm
-        return MetricClass(label="negative_type", witness=witness)
-    gram_pinv = pseudoinverse(gram)
+        return MetricClass(label="negative_type", witness=witness), None
+    gram_pinv = eig.pinv()
     off = gram_pinv - np.diag(np.diag(gram_pinv))
     if off.max(initial=0.0) <= tol:
-        return MetricClass(label="resistance_metric", witness=None)
-    return MetricClass(label="strict_negative_type", witness=None)
+        return MetricClass(label="resistance_metric", witness=None), gram_pinv
+    return MetricClass(label="strict_negative_type", witness=None), gram_pinv
 
 
 def q_from_distance(distance, tol=STRUCTURAL_TOL) -> SignedLaplacianQ:
@@ -249,7 +253,7 @@ def q_from_distance(distance, tol=STRUCTURAL_TOL) -> SignedLaplacianQ:
         If the input is not of strict negative type; carries the label and
         witness from classification.
     """
-    mc = classify_metric(distance, tol=tol)
+    mc, q = _classify(distance, tol)
     if mc.label not in ("strict_negative_type", "resistance_metric"):
         raise MetricClassificationError(
             f"distance matrix is {mc.label}; a signed Laplacian exists only "
@@ -257,12 +261,7 @@ def q_from_distance(distance, tol=STRUCTURAL_TOL) -> SignedLaplacianQ:
             label=mc.label,
             witness=mc.witness,
         )
-    d = as_square(distance, "distance")
-    n = d.shape[0]
-    j = centering_projector(n)
-    gram = -0.5 * (j @ d @ j)
-    q = pseudoinverse((gram + gram.T) / 2.0)
-    report = validate_class_q((q + q.T) / 2.0, tol=tol)
+    report = validate_class_q(q, tol=tol)
     if not report.ok:
         raise NumericError(
             "recovered matrix failed signed-Laplacian validation "

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from resgeo.cli import main
+from resgeo.cli import _emit, main
 from resgeo.embed import read_coordinates
 from resgeo.generators import random_class_q
 
@@ -221,3 +221,63 @@ def test_reports_echo_inputs(capsys, edge_file):
     assert report["inputs"]["keep"] == "1,2,4"
     assert report["inputs"]["input"] == edge_file
     assert report["command"] == "kron"
+
+
+GOLDEN_REPORT = {
+    "command": "golden",
+    "nested": {"empty_dict": {}, "empty_list": [], "yes": True, "no": False,
+               "none": None, "deeper": {"tuple": (1, 2)}},
+    "ints": [1, -2, np.int64(3)],
+    "quoted": 'say "hi" \\ done',
+    "reals": [-0.0, 0.1, 1e16, 2.5e-300, 5e-324, float("nan"), float("inf"),
+              float("-inf")],
+    "scalars": {"f64": np.float64(-0.0), "f32": np.float32(0.5),
+                "bool": np.bool_(True), "i32": np.int32(7),
+                "nan": np.float64("nan")},
+    "matrix": np.array([[1.0, -0.0], [1.0 / 3.0, np.nan]]),
+    "mixed": [1, 2.5, None, "x", True],
+    "table": [[1, 2], [3.0, float("-inf")], []],
+}
+
+GOLDEN_TEXT = """\
+{
+  "command": "golden",
+  "nested": {
+    "empty_dict": {},
+    "empty_list": [],
+    "yes": true,
+    "no": false,
+    "none": null,
+    "deeper": {
+      "tuple": [1, 2]
+    }
+  },
+  "ints": [1, -2, 3],
+  "quoted": "say \\"hi\\" \\\\ done",
+  "reals": [0, 0.10000000000000001, 10000000000000000, 2.5e-300, \
+4.9406564584124654e-324, null, null, null],
+  "scalars": {
+    "f64": 0,
+    "f32": 0.5,
+    "bool": true,
+    "i32": 7,
+    "nan": null
+  },
+  "matrix": [
+    [1, 0],
+    [0.33333333333333331, null]
+  ],
+  "mixed": [1, 2.5, null, "x", true],
+  "table": [
+    [1, 2],
+    [3, null],
+    []
+  ]
+}
+"""
+
+
+def test_emit_golden_text(capsys):
+    # Fixed report, no linear algebra: the exact bytes of the JSON writer.
+    _emit(GOLDEN_REPORT)
+    assert capsys.readouterr().out == GOLDEN_TEXT

@@ -48,11 +48,43 @@ def test_pseudoinverse_rank_deficient():
     assert np.abs(a @ ap @ a - a).max() < 1e-12
 
 
+def sym_eig_pinv(a):
+    return sym_eig(a).pinv()
+
+
 def test_pseudoinverse_small_oracles():
-    assert np.abs(pseudoinverse(np.diag([2.0, 0.0]))
-                  - np.diag([0.5, 0.0])).max() < 1e-15
-    edge = np.array([[1.0, -1.0], [-1.0, 1.0]])
-    assert np.abs(pseudoinverse(edge) - edge / 4.0).max() < 1e-15
+    for pinv in (pseudoinverse, sym_eig_pinv):
+        assert np.abs(pinv(np.diag([2.0, 0.0]))
+                      - np.diag([0.5, 0.0])).max() < 1e-15
+        edge = np.array([[1.0, -1.0], [-1.0, 1.0]])
+        assert np.abs(pinv(edge) - edge / 4.0).max() < 1e-15
+
+
+def symmetric_input(kind, seed=21):
+    rng = np.random.default_rng(seed)
+    if kind == "psd_kernel_one":
+        # Laplacian of a complete graph with random weights
+        w = np.triu(rng.uniform(0.5, 2.0, size=(40, 40)), 1)
+        w = w + w.T
+        return np.diag(w.sum(axis=1)) - w
+    if kind == "indefinite":
+        a = rng.normal(size=(40, 40))
+        return a + a.T
+    # rank four with eigenvalues of both signs
+    v, _ = np.linalg.qr(rng.normal(size=(12, 12)))
+    a = (v * np.array([5.0, 2.0, -3.0, -1.0] + [0.0] * 8)) @ v.T
+    return (a + a.T) / 2.0
+
+
+@pytest.mark.parametrize("kind", ["psd_kernel_one", "indefinite",
+                                  "rank_deficient"])
+def test_symmetric_pinv_matches_svd_route(kind):
+    a = symmetric_input(kind)
+    p = sym_eig_pinv(a)
+    reference = pseudoinverse(a)
+    assert np.array_equal(p, p.T)
+    assert np.abs(p - reference).max() <= 1e-10 * np.abs(reference).max()
+    assert np.linalg.matrix_rank(p) == np.linalg.matrix_rank(reference)
 
 
 def test_pseudoinverse_penrose_large():

@@ -39,6 +39,8 @@ from .errors import NumericError, StructureError, ValidationError
 from .graph import (
     DirectedLaplacian,
     SignedLaplacianQ,
+    _shared_kernel,
+    _shared_sym_pinv,
     sym_pinv,
     validate_class_q,
 )
@@ -49,7 +51,6 @@ from .linalg import (
     pseudoinverse,
     schur_complement,
     solve_conditioned,
-    sym_eig,
 )
 from .resistance import (
     ResistanceMatrix,
@@ -147,8 +148,9 @@ def undirect(lap: DirectedLaplacian) -> SignedLaplacianQ:
     """
     _require_scwb(lap)
     # SVD, not SymEig.pinv: the benchmark's tracer test pins undirect at
-    # two SVDs and two eigh calls; the eigh route moves with that pin.
-    k = pseudoinverse(sym_pinv(lap))
+    # two SVDs and two eigh calls on a fresh object (the SVD of L behind
+    # the kept L_s^+, then this one); the eigh route moves with that pin.
+    k = pseudoinverse(_shared_sym_pinv(lap))
     report = validate_class_q((k + k.T) / 2.0)
     if not report.ok:
         raise NumericError(
@@ -171,13 +173,12 @@ def _kernel_pair(source):
     ``kernel`` sits in the Laplacian slot of the block identity:
     ``(L_s^+)^+`` for an SCWB directed Laplacian, ``Q`` itself for a
     signed one.  ``kernel_pinv`` is its pseudoinverse (``L_s^+`` or
-    ``Q^+``), whose diagonal is the vector ``zeta``; a signed Laplacian
-    carries both already.
+    ``Q^+``), whose diagonal is the vector ``zeta``.  Both input types
+    keep both, read-only: a directed Laplacian fills them on first use.
     """
     if isinstance(source, DirectedLaplacian):
         _require_scwb(source)
-        ls = sym_pinv(source)
-        return sym_eig(ls).pinv(), ls, source.n
+        return _shared_kernel(source), _shared_sym_pinv(source), source.n
     if isinstance(source, SignedLaplacianQ):
         return source.matrix, source.pinv, source.n
     raise ValidationError(
@@ -309,7 +310,7 @@ def check_noncommutativity(lap: DirectedLaplacian, keep) -> NoncommutativityWitn
     inputs the two coincide; for genuinely directed graphs they differ.
     """
     kept = normalize_indices(keep, lap.n, min_size=2)
-    lhs = schur_complement(sym_pinv(lap), kept)
+    lhs = schur_complement(_shared_sym_pinv(lap), kept)
     rhs = sym_pinv(kron_reduce(lap, kept).reduced)
     return NoncommutativityWitness(
         lhs=lhs, rhs=rhs, difference=float(np.abs(lhs - rhs).max())

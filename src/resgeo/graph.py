@@ -18,6 +18,13 @@ graph is strongly connected when the forward and the backward closure of
 node 0 each cover every node, and Kron reduction onto a kept set is defined
 when the backward closure of that set (the nodes with a path into it)
 covers every node.
+
+A :class:`DirectedLaplacian` is immutable, so the factorizations every
+directed quantity derives from are computed at most once per object and
+kept on it: the balancing that :func:`weight_balance` returns, the
+symmetrized pseudoinverse ``L_s^+`` behind :func:`sym_pinv`, and
+``(L_s^+)^+``, the Laplacian slot of the curvature identity.  The kept
+arrays are read-only, and :func:`sym_pinv` hands out a writable copy.
 """
 
 from __future__ import annotations
@@ -53,7 +60,8 @@ def _reached(matrix, seeds):
     pass ``matrix.T`` to get the nodes with a path into ``seeds`` instead.
     Adjacency lists come from one ``nonzero`` over the flattened pattern
     and are walked by a stack search, so after that one pass over the
-    matrix the cost is linear in nodes plus edges.
+    matrix the cost is linear in nodes plus edges.  The search stops once
+    every node is marked, which on a dense graph is after the first row.
     """
     n = matrix.shape[0]
     # Edge i -> j sits at flat index i * n + j, so rows are contiguous runs.
@@ -64,11 +72,13 @@ def _reached(matrix, seeds):
     stack = [int(s) for s in seeds]
     for s in stack:
         seen[s] = True
-    while stack:
+    unseen = seen.count(False)
+    while stack and unseen:
         v = stack.pop()
         for w in cols[bounds[v]:bounds[v + 1]]:
             if not seen[w]:
                 seen[w] = True
+                unseen -= 1
                 stack.append(w)
     return np.array(seen)
 
@@ -89,6 +99,12 @@ class DirectedLaplacian:
     and weight balanced when :func:`is_weight_balanced` holds at the
     default tolerance.
 
+    Three factorizations are filled in on first use and then shared by
+    every function that derives from them: the :class:`WeightBalancing`
+    of :func:`weight_balance`, ``L_s^+`` of :func:`sym_pinv` and its
+    pseudoinverse ``(L_s^+)^+``.  They sit in private slots, their arrays
+    are read-only, and a failed computation is not kept.
+
     Raises
     ------
     ValidationError
@@ -96,7 +112,8 @@ class DirectedLaplacian:
         beyond ``1e-12`` (relative to the matrix magnitude).
     """
 
-    __slots__ = ("matrix", "n", "strongly_connected", "weight_balanced")
+    __slots__ = ("matrix", "n", "strongly_connected", "weight_balanced",
+                 "_balancing", "_sym_pinv", "_kernel")
 
     def __init__(self, matrix):
         m = as_square(matrix, "laplacian").copy()
@@ -124,6 +141,7 @@ class DirectedLaplacian:
             _reached(m, [0]).all() and _reached(m.T, [0]).all()
         )
         self.weight_balanced = _columns_balanced(m, STRUCTURAL_TOL)
+        self._balancing = self._sym_pinv = self._kernel = None
 
     def __repr__(self):
         flags = []
@@ -301,7 +319,8 @@ class WeightBalancing:
 
     ``balanced.matrix = diag(m) @ original.matrix`` with ``m`` normalized to
     ``sum(m) = n``; ``m`` is a scaled left null vector of the original
-    Laplacian, strictly positive by irreducibility.
+    Laplacian, strictly positive by irreducibility.  ``m`` is read-only:
+    the original Laplacian keeps this object and hands it to every caller.
     """
 
     m: np.ndarray
@@ -310,6 +329,10 @@ class WeightBalancing:
 
 def weight_balance(lap: DirectedLaplacian) -> WeightBalancing:
     """Balance a strongly connected directed Laplacian by row scaling.
+
+    The balancing is computed once per ``lap`` and kept on it; later calls
+    return the same :class:`WeightBalancing`, whose ``balanced`` Laplacian
+    in turn keeps its own factorizations.
 
     Raises
     ------
@@ -320,6 +343,14 @@ def weight_balance(lap: DirectedLaplacian) -> WeightBalancing:
         If the numerical left null space is not one-dimensional or the
         computed vector is not strictly positive.
     """
+    if lap._balancing is None:
+        balancing = _balance(lap)
+        balancing.m.setflags(write=False)
+        lap._balancing = balancing
+    return lap._balancing
+
+
+def _balance(lap):
     if not lap.strongly_connected:
         raise StructureError(
             "weight balancing requires a strongly connected graph"
@@ -377,13 +408,37 @@ def sym_pinv(lap: DirectedLaplacian) -> np.ndarray:
     kernel exactly ``span(1)``, and its pseudoinverse is again a (possibly
     signed) Laplacian.  Note it differs from the pseudoinverse of the
     symmetric part except in the undirected case.
+
+    The SVD pseudoinverse is taken once per ``lap`` and kept read-only on
+    it; each call returns a writable copy, so writing into the result
+    changes nothing else.
     """
-    if not lap.strongly_connected:
-        raise StructureError(
-            "symmetrized pseudoinverse geometry requires strong connectivity"
-        )
-    p = pseudoinverse(lap.matrix)
-    return (p + p.T) / 2.0
+    return _shared_sym_pinv(lap).copy()
+
+
+def _shared_sym_pinv(lap):
+    """``L_s^+`` of ``lap`` as the read-only array kept on it."""
+    if lap._sym_pinv is None:
+        if not lap.strongly_connected:
+            raise StructureError(
+                "symmetrized pseudoinverse geometry requires strong "
+                "connectivity"
+            )
+        p = pseudoinverse(lap.matrix)
+        ls = (p + p.T) / 2.0
+        ls.setflags(write=False)
+        lap._sym_pinv = ls
+    return lap._sym_pinv
+
+
+def _shared_kernel(lap):
+    """``(L_s^+)^+`` of ``lap`` by :meth:`SymEig.pinv`, read-only and kept
+    on it: the Laplacian slot of the Fiedler-Bapat identity."""
+    if lap._kernel is None:
+        kernel = sym_eig(_shared_sym_pinv(lap)).pinv()
+        kernel.setflags(write=False)
+        lap._kernel = kernel
+    return lap._kernel
 
 
 def pinv_via_shift(lap: DirectedLaplacian, gamma=1.0) -> np.ndarray:

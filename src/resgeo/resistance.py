@@ -35,7 +35,7 @@ from .graph import (
     SignedLaplacianQ,
     STRUCTURAL_TOL,
     _scale,
-    sym_pinv,
+    _shared_sym_pinv,
     validate_class_q,
     weight_balance,
 )
@@ -121,7 +121,8 @@ def resistance_matrix_scwb(lap: DirectedLaplacian) -> ResistanceMatrix:
         raise StructureError(
             "this route requires weight balance; use resistance_matrix_sc"
         )
-    return ResistanceMatrix(_omega_from_kernel(sym_pinv(lap)), kind="scwb")
+    return ResistanceMatrix(_omega_from_kernel(_shared_sym_pinv(lap)),
+                            kind="scwb")
 
 
 def resistance_matrix_sc(lap: DirectedLaplacian) -> ResistanceMatrix:
@@ -130,14 +131,15 @@ def resistance_matrix_sc(lap: DirectedLaplacian) -> ResistanceMatrix:
     Balances the graph first; the directed matrix is the row-wise scaling
     ``diag(m) @ Omega_balanced`` by the balancing vector ``m``.  For an
     already balanced graph this coincides with the symmetric route and the
-    symmetric kind is returned.
+    symmetric kind is returned.  The balancing and ``L_s^+`` of the balanced
+    graph are the ones kept on ``lap``; neither is recomputed.
     """
     if not lap.strongly_connected:
         raise StructureError("resistance matrix requires strong connectivity")
     if lap.weight_balanced:
         return resistance_matrix_scwb(lap)
     balancing = weight_balance(lap)
-    omega_wb = _omega_from_kernel(sym_pinv(balancing.balanced))
+    omega_wb = _omega_from_kernel(_shared_sym_pinv(balancing.balanced))
     return ResistanceMatrix(balancing.m[:, None] * omega_wb, kind="directed_sc")
 
 

@@ -1,8 +1,10 @@
-"""One factorization per signed Laplacian.
+"""One factorization per Laplacian object.
 
 A ``SignedLaplacianQ`` keeps the eigendecomposition its validation takes
 and ``Q^+`` formed from it; everything derived from ``Q`` reads those
-instead of factoring ``Q`` again.  The counts below are the calls of
+instead of factoring ``Q`` again.  A ``DirectedLaplacian`` fills in its
+balancing, ``L_s^+`` and ``(L_s^+)^+`` on first use and keeps them the
+same way.  The counts below are the calls of
 ``numpy.linalg.svd`` and ``numpy.linalg.eigh`` made by one library call.
 The condition gate of ``solve_conditioned`` goes through
 ``numpy.linalg.cond``, whose SVD is not counted here.
@@ -13,13 +15,39 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from resgeo.curvature import curvature_radius_q, verify_fiedler_bapat
+from resgeo.curvature import (
+    check_commutativity,
+    curvature_radius_q,
+    curvature_radius_sc,
+    curvature_radius_scwb,
+    reduce_curvature_radius,
+    sigma2_subset,
+    undirect,
+    verify_fiedler_bapat,
+)
 from resgeo.embed import embed, simplex_geometry
-from resgeo.generators import random_class_q
-from resgeo.graph import SignedLaplacianQ, validate_class_q
+from resgeo.generators import (
+    random_class_q,
+    random_sc_laplacian,
+    random_scwb_laplacian,
+)
+from resgeo.graph import (
+    DirectedLaplacian,
+    SignedLaplacianQ,
+    _shared_kernel,
+    _shared_sym_pinv,
+    sym_pinv,
+    validate_class_q,
+    weight_balance,
+)
 from resgeo.linalg import centering_projector
 from resgeo.maxvar import characterize, solve_maxvar
-from resgeo.resistance import classify_metric, resistance_matrix_q
+from resgeo.resistance import (
+    classify_metric,
+    resistance_matrix_q,
+    resistance_matrix_sc,
+    resistance_matrix_scwb,
+)
 
 Q30 = random_class_q(30, np.random.default_rng(30), ensure_signed=True)
 
@@ -107,3 +135,119 @@ def test_embedding_does_not_alias_the_stored_factorization():
             assert not np.shares_memory(array, stored)
     b = emb.coordinates
     assert np.abs(b.T @ b - Q30.pinv).max() < 1e-12 * np.abs(Q30.pinv).max()
+
+
+# --- DirectedLaplacian --------------------------------------------------------
+
+SC20 = random_sc_laplacian(20, np.random.default_rng(20)).matrix
+SCWB20 = random_scwb_laplacian(20, np.random.default_rng(21)).matrix
+HALF = list(range(0, 20, 2))
+
+
+def test_unbalanced_object_balances_and_inverts_once(kernels):
+    lap = DirectedLaplacian(SC20)
+    assert not lap.weight_balanced
+    weight_balance(lap)
+    resistance_matrix_sc(lap)
+    curvature_radius_sc(lap)
+    # The SVD of L^T for the balancing, then of the balanced L for L_s^+;
+    # without the kept factorizations the three calls took five.
+    assert (kernels["svd"], kernels["eigh"]) == (2, 0)
+
+
+def test_balanced_object_factors_once(kernels):
+    lap = DirectedLaplacian(SCWB20)
+    assert lap.weight_balanced
+    curvature_radius_scwb(lap)
+    verify_fiedler_bapat(lap)
+    reduce_curvature_radius(lap, HALF)
+    # One SVD for L_s^+ and one eigh for (L_s^+)^+, where each call
+    # took one of each before.
+    assert (kernels["svd"], kernels["eigh"]) == (1, 1)
+
+
+def test_undirect_factors_twice_on_a_fresh_object(kernels):
+    lap = DirectedLaplacian(SCWB20)
+    undirect(lap)
+    assert (kernels["svd"], kernels["eigh"]) == (2, 2)
+
+
+def test_undirect_reads_the_kept_sym_pinv(kernels):
+    lap = DirectedLaplacian(SCWB20)
+    sym_pinv(lap)
+    kernels.clear()
+    undirect(lap)
+    assert (kernels["svd"], kernels["eigh"]) == (1, 2)
+
+
+def _leaves(value):
+    """The fields of a result in a fixed order, Laplacians by their matrix."""
+    if hasattr(value, "__dataclass_fields__"):
+        return [leaf for name in sorted(value.__dataclass_fields__)
+                for leaf in _leaves(getattr(value, name))]
+    if isinstance(value, (DirectedLaplacian, SignedLaplacianQ)):
+        return [value.matrix]
+    return [value]
+
+
+def _on_balanced(derive, *args):
+    return lambda lap: derive(weight_balance(lap).balanced, *args)
+
+
+DERIVED = {
+    "weight_balance": weight_balance,
+    "sym_pinv": sym_pinv,
+    "resistance_sc": resistance_matrix_sc,
+    "curvature_sc": curvature_radius_sc,
+    "balanced_resistance": _on_balanced(resistance_matrix_scwb),
+    "balanced_curvature": _on_balanced(curvature_radius_scwb),
+    "fiedler_bapat": _on_balanced(verify_fiedler_bapat),
+    "reduced_curvature": _on_balanced(reduce_curvature_radius, HALF),
+    "sigma2_subset": _on_balanced(sigma2_subset, HALF[:4]),
+    "commutativity": _on_balanced(check_commutativity, HALF),
+    "undirect": _on_balanced(undirect),
+}
+
+
+@pytest.mark.parametrize("order", ["forward", "reverse"])
+def test_reused_object_matches_fresh_objects_bit_for_bit(order):
+    names = sorted(DERIVED, reverse=order == "reverse")
+    lap = DirectedLaplacian(SC20)
+    for name in names:
+        reused = _leaves(DERIVED[name](lap))
+        fresh = _leaves(DERIVED[name](DirectedLaplacian(SC20)))
+        assert len(reused) == len(fresh), name
+        for a, b in zip(reused, fresh):
+            assert np.array_equal(a, b), name
+
+
+def test_writing_into_sym_pinv_changes_no_later_result():
+    lap = DirectedLaplacian(SCWB20)
+    handed_out = sym_pinv(lap)
+    assert not np.shares_memory(handed_out, _shared_sym_pinv(lap))
+    before = handed_out.copy()
+    handed_out += 1.0
+    assert np.array_equal(sym_pinv(lap), before)
+    fresh = DirectedLaplacian(SCWB20)
+    for derive in (resistance_matrix_scwb, curvature_radius_scwb,
+                   verify_fiedler_bapat, undirect):
+        for a, b in zip(_leaves(derive(lap)), _leaves(derive(fresh))):
+            assert np.array_equal(a, b)
+
+
+def test_balancing_is_kept_and_read_only():
+    lap = DirectedLaplacian(SC20)
+    wb = weight_balance(lap)
+    assert weight_balance(lap) is wb
+    with pytest.raises(ValueError):
+        wb.m[0] = 1.0
+
+
+@pytest.mark.parametrize("kept", [_shared_sym_pinv, _shared_kernel])
+def test_kept_arrays_are_read_only(kept):
+    lap = DirectedLaplacian(SCWB20)
+    array = kept(lap)
+    assert kept(lap) is array
+    assert not array.flags.writeable
+    with pytest.raises(ValueError):
+        array[0, 0] = 1.0

@@ -36,6 +36,7 @@ from .curvature import (
 from .embed import embed, export_coordinates, simplex_geometry, verify_angles_geometric
 from .errors import ResgeoError, ValidationError
 from .graph import (
+    STRUCTURAL_TOL,
     DirectedLaplacian,
     laplacian_from_edges,
     pinv_via_shift,
@@ -461,7 +462,7 @@ def build_parser():
             p.add_argument("input", help="edge-list or CSV matrix file")
             p.add_argument("--as-laplacian", action="store_true",
                            help="treat a CSV matrix as a Laplacian, not adjacency")
-        p.add_argument("--tol", type=float, default=1e-9,
+        p.add_argument("--tol", type=float, default=STRUCTURAL_TOL,
                        help="structural/certification tolerance")
         p.set_defaults(handler=handler)
         return p

@@ -14,10 +14,11 @@ pseudoinverse ``(L_s^+)^+`` in the Laplacian slot,
 with ``p = (1/2) (L_s^+)^+ zeta + 1/n`` and
 ``sigma^2 = (1/4) zeta^T (L_s^+)^+ zeta + 1^T zeta / n`` for
 ``zeta = diag(L_s^+)``, and verbatim to signed Laplacians with ``Q`` in
-place of ``(L_s^+)^+``.  For strongly connected graphs without weight
-balance the resistance matrix is asymmetric and curvature is defined
-directly through it: ``p = Omega^{-1} 1 / (1^T Omega^{-1} 1)`` and
-``sigma^2 = 1 / (2 * 1^T Omega^{-1} 1)``.
+place of ``(L_s^+)^+``.  Every whole-graph curvature takes this closed
+form.  The gated solve ``p = Omega^{-1} 1 / (1^T Omega^{-1} 1)``,
+``sigma^2 = 1 / (2 * 1^T Omega^{-1} 1)`` is kept for proper subsets
+(``subset_curvature_radius``) and for graphs without weight balance,
+whose resistance matrix is asymmetric (``curvature_radius_sc``).
 
 This module also covers how the pair ``(p, sigma^2)`` moves under weight
 balancing and under Kron reduction, and the subset radius function
@@ -187,17 +188,18 @@ def _kernel_pair(source):
     )
 
 
-def _closed_form(kernel, zeta, n):
+def _closed_form(source):
+    """``(kernel, kernel_pinv, zeta, p, sigma2)``, with ``p`` not validated."""
+    kernel, kernel_pinv, n = _kernel_pair(source)
+    zeta = np.diag(kernel_pinv).copy()
     p = 0.5 * kernel @ zeta + 1.0 / n
-    sigma2 = 0.25 * zeta @ kernel @ zeta + zeta.sum() / n
-    return p, float(sigma2)
+    sigma2 = float(0.25 * zeta @ kernel @ zeta + zeta.sum() / n)
+    return kernel, kernel_pinv, zeta, p, sigma2
 
 
 def curvature_radius_scwb(lap: DirectedLaplacian) -> CurvatureRadius:
     """Curvature and squared radius of an SCWB graph, closed form."""
-    kernel, kernel_pinv, n = _kernel_pair(lap)
-    zeta = np.diag(kernel_pinv).copy()
-    p, sigma2 = _closed_form(kernel, zeta, n)
+    _, _, zeta, p, sigma2 = _closed_form(lap)
     return CurvatureRadius(p=p, sigma2=sigma2, zeta=zeta)
 
 
@@ -208,21 +210,25 @@ def verify_fiedler_bapat(source) -> FiedlerBapat:
     independent check of the closed-form curvature and radius: the block
     product is formed explicitly and compared against ``-2 I``.
     """
-    kernel, kernel_pinv, n = _kernel_pair(source)
-    zeta = np.diag(kernel_pinv).copy()
-    p, sigma2 = _closed_form(kernel, zeta, n)
-    omega = _omega_from_kernel(kernel_pinv)
-    lhs = np.zeros((n + 1, n + 1))
-    lhs[0, 1:] = 1.0
-    lhs[1:, 0] = 1.0
-    lhs[1:, 1:] = omega
-    core = np.zeros((n + 1, n + 1))
-    core[0, 0] = 4.0 * sigma2
-    core[0, 1:] = -2.0 * p
-    core[1:, 0] = -2.0 * p
-    core[1:, 1:] = kernel
-    residual = float(np.abs(lhs @ core + 2.0 * np.eye(n + 1)).max())
+    kernel, kernel_pinv, _, p, sigma2 = _closed_form(source)
+    ones = np.ones((1, kernel.shape[0]))
+    lhs = np.block([[0.0, ones], [ones.T, _omega_from_kernel(kernel_pinv)]])
+    core = np.block([[4.0 * sigma2, -2.0 * p[None, :]],
+                     [-2.0 * p[:, None], kernel]])
+    residual = float(np.abs(lhs @ core + 2.0 * np.eye(lhs.shape[0])).max())
     return FiedlerBapat(lhs=lhs, rhs=-0.5 * core, residual=residual)
+
+
+def _solved(omega, what):
+    """Gated ``x = Omega^{-1} 1``: ``p = x / 1^T x``, ``sigma2 = 1/(2 1^T x)``."""
+    x = solve_conditioned(omega, np.ones(omega.shape[0]), what=what)
+    denom = float(x.sum())
+    if denom <= 0.0:
+        raise NumericError(
+            f"1^T Omega^{{-1}} 1 = {denom:.3e} is not positive for the {what}; "
+            "it is not a valid resistance geometry"
+        )
+    return CurvatureRadius(p=x / denom, sigma2=1.0 / (2.0 * denom))
 
 
 def subset_curvature_radius(omega, subset) -> CurvatureRadius:
@@ -234,16 +240,7 @@ def subset_curvature_radius(omega, subset) -> CurvatureRadius:
     """
     om = omega.omega if isinstance(omega, ResistanceMatrix) else as_square(omega)
     sub = normalize_indices(subset, om.shape[0], min_size=2, name="subset")
-    block = om[np.ix_(sub, sub)]
-    x = solve_conditioned(block, np.ones(sub.size),
-                          what="resistance principal block")
-    denom = float(x.sum())
-    if denom <= 0.0:
-        raise NumericError(
-            f"1^T Omega[V,V]^{{-1}} 1 = {denom:.3e} is not positive; "
-            "the block is not a valid resistance geometry"
-        )
-    return CurvatureRadius(p=x / denom, sigma2=1.0 / (2.0 * denom), zeta=None)
+    return _solved(om[np.ix_(sub, sub)], "resistance principal block")
 
 
 def curvature_radius_sc(lap: DirectedLaplacian) -> CurvatureRadius:
@@ -253,14 +250,7 @@ def curvature_radius_sc(lap: DirectedLaplacian) -> CurvatureRadius:
     agrees with the closed-form SCWB route whenever the graph happens to
     be weight-balanced.
     """
-    omega = resistance_matrix_sc(lap).omega
-    x = solve_conditioned(omega, np.ones(lap.n), what="resistance matrix")
-    denom = float(x.sum())
-    if denom <= 0.0:
-        raise NumericError(
-            f"1^T Omega^{{-1}} 1 = {denom:.3e} is not positive"
-        )
-    return CurvatureRadius(p=x / denom, sigma2=1.0 / (2.0 * denom), zeta=None)
+    return _solved(resistance_matrix_sc(lap).omega, "resistance matrix")
 
 
 def wb_transform(cr: CurvatureRadius, m, omega) -> CurvatureRadius:
@@ -329,10 +319,8 @@ def reduce_curvature_radius(lap: DirectedLaplacian, keep) -> CurvatureRadius:
     Matches ``curvature_radius_scwb(kron_reduce(lap, keep).reduced)``.
     """
     kept = normalize_indices(keep, lap.n, min_size=2)
-    kernel, kernel_pinv, n = _kernel_pair(lap)
-    zeta = np.diag(kernel_pinv).copy()
-    p, sigma2 = _closed_form(kernel, zeta, n)
-    elim = np.setdiff1d(np.arange(n), kept)
+    kernel, _, zeta, p, sigma2 = _closed_form(lap)
+    elim = np.setdiff1d(np.arange(lap.n), kept)
     if elim.size == 0:
         return CurvatureRadius(p=p, sigma2=sigma2, zeta=zeta)
     y = solve_conditioned(kernel[np.ix_(elim, elim)], p[elim],
@@ -353,23 +341,20 @@ def sigma2_subset(lap: DirectedLaplacian, subset) -> float:
         if sub and not (0 <= sub[0] < lap.n):
             raise ValidationError(f"subset index {sub[0]} out of range")
         return 0.0
-    omega = resistance_matrix_scwb(lap)
-    return subset_curvature_radius(omega, sub).sigma2
+    return subset_curvature_radius(resistance_matrix_scwb(lap), sub).sigma2
 
 
 def curvature_radius_q(q: SignedLaplacianQ, subset=None) -> CurvatureRadius:
     """Curvature and radius of a signed Laplacian, whole graph or subset.
 
-    Subset curvature is read off the principal block of the resistance
-    matrix; the full-graph call also reports ``zeta = diag(Q^+)``.
+    The whole graph, or a subset covering every node, takes the
+    Fiedler-Bapat closed form in ``Q`` and ``Q^+`` and also reports
+    ``zeta = diag(Q^+)``.  A proper subset is read off the principal block
+    of the resistance matrix by :func:`subset_curvature_radius`.
     """
-    qd = q.pinv
-    omega = _omega_from_kernel(qd)
-    if subset is None:
-        subset = range(q.n)
-    sub = normalize_indices(subset, q.n, min_size=2, name="subset")
-    cr = subset_curvature_radius(omega, sub)
-    if sub.size == q.n:
-        return CurvatureRadius(p=cr.p, sigma2=cr.sigma2,
-                               zeta=np.diag(qd).copy())
-    return cr
+    if subset is not None:
+        sub = normalize_indices(subset, q.n, min_size=2, name="subset")
+        if sub.size < q.n:
+            return subset_curvature_radius(_omega_from_kernel(q.pinv), sub)
+    _, _, zeta, p, sigma2 = _closed_form(q)
+    return CurvatureRadius(p=p, sigma2=sigma2, zeta=zeta)

@@ -22,11 +22,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curvature import subset_curvature_radius
+from .curvature import curvature_radius_q
 from .errors import NumericError, ValidationError
 from .graph import SignedLaplacianQ
 from .linalg import pseudoinverse
-from .resistance import _omega_from_kernel
 
 
 @dataclass(frozen=True)
@@ -125,14 +124,14 @@ def simplex_geometry(q: SignedLaplacianQ, emb: Embedding) -> SimplexGeometry:
     """Circumcenter, circumradius, and angle cosines of the embedded simplex.
 
     The circumcenter is the embedding image of the curvature vector and
-    the circumradius is the resistance radius; dihedral and vertex-vector
+    the circumradius is the resistance radius, both from the closed form
+    of :func:`curvature_radius_q` (no solve); dihedral and vertex-vector
     cosines use their closed forms in ``Q`` and ``Q^+``.
     """
     if emb.n != q.n:
         raise ValidationError("embedding does not match the Laplacian size")
     qd = q.pinv
-    omega = _omega_from_kernel(qd)
-    cr = subset_curvature_radius(omega, range(q.n))
+    cr = curvature_radius_q(q)
     center = emb.coordinates @ cr.p
     diag_q = np.sqrt(np.diag(q.matrix))
     cos_dihedral = -q.matrix / np.outer(diag_q, diag_q)
@@ -222,29 +221,38 @@ def read_coordinates(path):
 
     Returns a dict with ``coordinates``, ``circumcenter``, ``circumradius``,
     ``cos_dihedral`` and ``cos_vertex``; exact inverse of the export at the
-    written precision.
+    written precision.  A missing section, a non-numeric line or a ragged
+    section raises ``ValidationError`` naming it.
     """
     try:
         with open(path, "r", encoding="ascii") as fh:
             lines = [ln.rstrip("\n") for ln in fh]
     except OSError as exc:
         raise ValidationError(f"cannot read coordinates from {path}: {exc}") from exc
-    sections = {}
+    sections = {"coordinates": []}
     current = "coordinates"
-    sections[current] = []
-    for line in lines[1:]:
-        if not line:
-            continue
+    for number, line in enumerate(lines[1:], start=2):
         if line.startswith("# "):
             current = line[2:]
             sections[current] = []
-            continue
-        sections[current].append([float(tok) for tok in line.split(",")])
-    coords = np.array([row[1:] for row in sections["coordinates"]]).T
-    return {
-        "coordinates": coords,
-        "circumcenter": np.array(sections["circumcenter"][0]),
-        "circumradius": sections["circumradius"][0][0],
-        "cos_dihedral": np.array(sections["cos_dihedral"]),
-        "cos_vertex": np.array(sections["cos_vertex"]),
-    }
+        elif line:
+            try:
+                sections[current].append([float(tok) for tok in line.split(",")])
+            except ValueError:
+                raise ValidationError(
+                    f"{path}: line {number} is not a row of numbers: {line!r}"
+                ) from None
+    for name in ("coordinates", "circumcenter", "circumradius", "cos_dihedral",
+                 "cos_vertex"):
+        if not sections.get(name):
+            raise ValidationError(f"{path}: missing or empty section {name!r}")
+    try:
+        return {
+            "coordinates": np.array([row[1:] for row in sections["coordinates"]]).T,
+            "circumcenter": np.array(sections["circumcenter"][0]),
+            "circumradius": sections["circumradius"][0][0],
+            "cos_dihedral": np.array(sections["cos_dihedral"]),
+            "cos_vertex": np.array(sections["cos_vertex"]),
+        }
+    except ValueError:
+        raise ValidationError(f"{path}: a section has rows of unequal length") from None

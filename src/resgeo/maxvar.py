@@ -31,7 +31,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curvature import CurvatureRadius, subset_curvature_radius
+from .curvature import (
+    IDENTITY_TOL,
+    CurvatureRadius,
+    curvature_radius_q,
+    subset_curvature_radius,
+)
 from .errors import (
     CapacityError,
     ConvergenceError,
@@ -93,7 +98,7 @@ class CharacterizationReport:
 
     @property
     def passed(self) -> bool:
-        return max(self.curvature_residual, self.value_residual) <= 1e-8
+        return max(self.curvature_residual, self.value_residual) <= IDENTITY_TOL
 
 
 @dataclass(frozen=True)
@@ -345,11 +350,10 @@ def find_negative_curvature_support_instance(
     rng = np.random.default_rng(seed)
     for attempt in range(1, attempts + 1):
         q = random_class_q(n, rng, ensure_signed=True)
-        omega = resistance_matrix_q(q)
-        whole = subset_curvature_radius(omega, range(n))
+        whole = curvature_radius_q(q)
         if whole.p.min() >= -1e-10:
             continue
-        solution = solve_maxvar_exact(omega)
+        solution = solve_maxvar_exact(resistance_matrix_q(q))
         negative = [int(i) for i in solution.support if whole.p[i] < -1e-10]
         if negative:
             return NegativeCurvatureInstance(

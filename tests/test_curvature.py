@@ -206,3 +206,14 @@ def test_curvature_radius_q_subset():
     full = curvature_radius_q(P3)
     assert full.zeta is not None
     assert abs(full.p.sum() - 1.0) < 1e-12
+    # The whole graph takes the closed form; the Omega^{-1} 1 solve over
+    # every node is the independent route it must agree with.
+    draws = [random_class_q(n, np.random.default_rng([n, seed]))
+             for n in (5, 12, 30) for seed in range(3)]
+    for q in [P3, K3] + draws:
+        closed = curvature_radius_q(q)
+        solved = subset_curvature_radius(resistance_matrix_q(q), range(q.n))
+        assert np.array_equal(curvature_radius_q(q, subset=range(q.n)).p,
+                              closed.p)
+        assert np.abs(closed.p - solved.p).max() <= 1e-10 * np.abs(solved.p).max()
+        assert abs(closed.sigma2 - solved.sigma2) <= 1e-10 * solved.sigma2

@@ -140,6 +140,36 @@ def test_export_bad_path():
         export_coordinates(emb, geo, "/nonexistent-dir/coords.csv")
 
 
+def _exported_lines(tmp_path):
+    emb = embed(K3)
+    path = tmp_path / "coords.csv"
+    export_coordinates(emb, simplex_geometry(K3, emb), path)
+    return path, path.read_text().splitlines()
+
+
+def test_read_coordinates_names_a_missing_section(tmp_path):
+    path, lines = _exported_lines(tmp_path)
+    path.write_text("\n".join(lines[:lines.index("# circumcenter")]) + "\n")
+    with pytest.raises(ValidationError, match="'circumcenter'"):
+        read_coordinates(path)
+
+
+def test_read_coordinates_names_a_non_numeric_line(tmp_path):
+    path, lines = _exported_lines(tmp_path)
+    lines[2] = lines[2].replace(",", ",abc,", 1)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValidationError, match="line 3 .*abc"):
+        read_coordinates(path)
+
+
+def test_read_coordinates_rejects_ragged_rows(tmp_path):
+    path, lines = _exported_lines(tmp_path)
+    lines[-1] = lines[-1].rsplit(",", 1)[0]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValidationError, match="unequal length"):
+        read_coordinates(path)
+
+
 def test_unsigned_graphs_embed_too():
     rng = np.random.default_rng(58)
     q = random_unsigned_laplacian(7, rng)

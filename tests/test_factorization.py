@@ -5,9 +5,9 @@ and ``Q^+`` formed from it; everything derived from ``Q`` reads those
 instead of factoring ``Q`` again.  A ``DirectedLaplacian`` fills in its
 balancing, ``L_s^+`` and ``(L_s^+)^+`` on first use and keeps them the
 same way.  The counts below are the calls of
-``numpy.linalg.svd`` and ``numpy.linalg.eigh`` made by one library call.
-The condition gate of ``solve_conditioned`` goes through
-``numpy.linalg.cond``, whose SVD is not counted here.
+``numpy.linalg.svd``, ``eigh``, ``cond`` and ``solve`` made by one library
+call.  The condition gate of ``solve_conditioned`` is one ``cond`` (whose
+own SVD is counted as a ``cond``, not as an ``svd``) and one ``solve``.
 """
 
 from collections import Counter
@@ -54,9 +54,9 @@ Q30 = random_class_q(30, np.random.default_rng(30), ensure_signed=True)
 
 @pytest.fixture
 def kernels(monkeypatch):
-    """Calls of ``numpy.linalg.svd`` and ``eigh`` made inside the test."""
+    """Calls of ``numpy.linalg.svd``, ``eigh``, ``cond`` and ``solve``."""
     counts = Counter()
-    for name in ("svd", "eigh"):
+    for name in ("svd", "eigh", "cond", "solve"):
         def counted(*args, _name=name, _call=getattr(np.linalg, name), **kwargs):
             counts[_name] += 1
             return _call(*args, **kwargs)
@@ -81,18 +81,22 @@ def test_validated_and_constructed_q_agree_bit_for_bit():
 SOLUTION = solve_maxvar(resistance_matrix_q(Q30))
 
 
-@pytest.mark.parametrize("derive", [
-    resistance_matrix_q,
-    curvature_radius_q,
-    verify_fiedler_bapat,
-    embed,
-    lambda q: simplex_geometry(q, embed(q)),
-    lambda q: characterize(SOLUTION, q),
-], ids=["resistance", "curvature", "fiedler_bapat", "embed", "geometry",
-        "characterize"])
-def test_derived_quantities_take_no_factorization(kernels, derive):
+@pytest.mark.parametrize("derive, gated", [
+    (resistance_matrix_q, 0),
+    (curvature_radius_q, 0),
+    (lambda q: curvature_radius_q(q, subset=range(10)), 1),
+    (verify_fiedler_bapat, 0),
+    (embed, 0),
+    (lambda q: simplex_geometry(q, embed(q)), 0),
+    (lambda q: characterize(SOLUTION, q), 1),
+], ids=["resistance", "curvature", "curvature_subset", "fiedler_bapat",
+        "embed", "geometry", "characterize"])
+def test_derived_quantities_take_no_factorization(kernels, derive, gated):
+    # Whole-graph curvature is the closed form in Q and Q^+; only a proper
+    # subset's curvature solves, behind one condition gate.
     derive(Q30)
     assert (kernels["svd"], kernels["eigh"]) == (0, 0)
+    assert (kernels["cond"], kernels["solve"]) == (gated, gated)
 
 
 def test_classify_metric_takes_one_eigh(kernels):

@@ -52,7 +52,7 @@ print("f* equals the support's curvature vector:",
 print("value equals the support's squared radius:",
       rep.value_residual)
 
-banner("enumeration agrees with projected gradient")
+banner("enumeration agrees with the active-set solver")
 rng = np.random.default_rng(29)
 q = random_class_q(7, rng, ensure_signed=True)
 om = resistance_matrix_q(q)

@@ -336,10 +336,8 @@ def sigma2_subset(lap: DirectedLaplacian, subset) -> float:
     The empty set and singletons have radius zero; pairs give a quarter of
     the effective resistance; the function is monotone under inclusion.
     """
-    sub = sorted(set(int(i) for i in subset))
-    if len(sub) <= 1:
-        if sub and not (0 <= sub[0] < lap.n):
-            raise ValidationError(f"subset index {sub[0]} out of range")
+    sub = normalize_indices(subset, lap.n, min_size=0, name="subset")
+    if sub.size <= 1:
         return 0.0
     return subset_curvature_radius(resistance_matrix_scwb(lap), sub).sigma2
 

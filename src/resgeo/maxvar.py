@@ -10,11 +10,11 @@ machinery check each other.
 
 Two solvers are provided.  :func:`solve_maxvar_exact` enumerates supports
 (largest first) and certifies the stationary distribution on each face;
-it is exponential and capped at 15 nodes.  :func:`solve_maxvar` runs
-projected gradient ascent with periodic support extraction, exact
-re-solving on the identified face, and KKT re-certification, so an
-accepted answer is exact up to one linear solve regardless of the
-iteration count.
+it is exponential and capped at 15 nodes.  :func:`solve_maxvar` is a
+primal active-set method (Wolfe 1976; Gaertner 1999): strict negative
+type makes the variance strictly concave on the simplex, so a finite run
+of face solves, adding the node of largest gradient and dropping nodes
+that reach zero, ends at the maximizer.
 
 For unsigned graphs every support node has positive whole-graph
 curvature, so greedily discarding negative-curvature nodes is sound; for
@@ -51,9 +51,6 @@ from .resistance import (
     resistance_matrix_q,
     resistance_matrix_scwb,
 )
-
-#: Entries above this count as support when reading a numeric iterate.
-SUPPORT_TOL = 1e-10
 
 #: A solved face distribution counts as interior only above this; smaller
 #: entries are boundary-degenerate zeros and get dropped from the support.
@@ -235,78 +232,73 @@ def solve_maxvar_exact(omega) -> MaxVarSolution:
     )
 
 
-def project_to_simplex(v):
-    """Euclidean projection onto the probability simplex (sort-based)."""
-    v = np.asarray(v, dtype=float)
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u) - 1.0
-    idx = np.arange(1, v.size + 1)
-    rho = np.nonzero(u * idx > css)[0][-1]
-    theta = css[rho] / (rho + 1.0)
-    return np.clip(v - theta, 0.0, None)
-
-
 def solve_maxvar(omega, x0=None, tol=1e-9, max_iter=10000) -> MaxVarSolution:
-    """Maximizer by projected gradient ascent with exact finishing.
+    """Maximizer by a primal active-set method over faces of the simplex.
 
-    Steps of size ``1/||Omega||_2`` (halved on backtracking) with
-    projection keep iterates feasible; the projection zeroes small
-    entries, so the optimal face is identified in finitely many steps.
-    Every 25 iterations, and whenever the iterate's KKT residual is small,
-    the support is extracted, the face system re-solved exactly (dropping
-    nonpositive components and re-solving as needed), and the candidate
-    re-certified.  Only a certified candidate is returned.
+    Starts from ``x0`` (default: all mass on node 0) with its positive
+    entries as the support.  While the KKT check fails, the node of largest
+    gradient ``(Omega f)_j`` joins the support and the face is solved.  An
+    interior face point is accepted; otherwise ``f`` moves toward it until
+    the first entry at or below ``INTERIOR_TOL`` reaches zero, that node
+    leaves, and the face is solved again.  Strict concavity makes this
+    finite.  ``max_iter`` caps the number of face solves.
 
     Raises
     ------
+    ValidationError
+        If ``Omega`` is zero.
+    NumericError
+        If a face cannot be solved (not a valid resistance matrix).
     ConvergenceError
-        If the budget runs out; carries the residual history.
+        If ``max_iter`` face solves do not certify; carries the residual
+        history.
     """
     om = _as_omega(omega)
     n = om.shape[0]
     if n == 1:
         return MaxVarSolution(f=np.ones(1), support=np.array([0]), value=0.0,
                               kkt_residual=0.0, method="iterative")
-    if x0 is None:
-        f = np.full(n, 1.0 / n)
-    else:
-        f = _check_distribution(x0, n)
-        f = f / f.sum()
-    spectral = float(np.abs(np.linalg.eigvalsh(om)).max())
-    if spectral <= 0.0:
+    if np.abs(om).max() == 0.0:
         raise ValidationError("resistance matrix must be nonzero")
-    step = 1.0 / spectral
+    f = np.eye(1, n)[0] if x0 is None else _check_distribution(x0, n)
+    f = f / f.sum()
+    nodes = np.flatnonzero(f > 0.0)
     tol_cert = tol * _scale(om)
     history = []
-    for it in range(max_iter):
+    solves = 0
+    while True:
         g = om @ f
-        current = 0.5 * f @ g
-        residual = _kkt_residual(g, np.flatnonzero(f > 1e-12))
-        history.append(residual)
-        if residual <= tol_cert or it % 25 == 24:
-            # Exact finish: solve on the numeric support, dropping
-            # boundary-degenerate zeros and re-solving until interior.
-            nodes = np.flatnonzero(f > SUPPORT_TOL)
+        history.append(_kkt_residual(g, nodes))
+        solution = _certified(om, nodes, f[nodes], tol_cert, "iterative")
+        if solution is not None:
+            return solution
+        nodes = np.union1d(nodes, [np.argmax(g)])
+        while True:
+            if solves == max_iter:
+                raise ConvergenceError(
+                    f"no certified maximizer within {max_iter} face solves "
+                    f"(last residual {history[-1]:.3e})", history=history)
+            solves += 1
             fv = _face_point(om, nodes)
-            while fv is not None and fv.min() <= INTERIOR_TOL:
-                nodes = nodes[fv > INTERIOR_TOL]
-                fv = _face_point(om, nodes)
-            if fv is not None:
-                solution = _certified(om, nodes, fv, tol_cert, "iterative")
-                if solution is not None:
-                    return solution
-        t = step
-        for _ in range(50):
-            cand = project_to_simplex(f + t * g)
-            if 0.5 * cand @ om @ cand >= current - 1e-15 * max(1.0, abs(current)):
+            if fv is None:
+                raise NumericError("a face system has no normalized solution; "
+                                   "the matrix is not a valid resistance geometry")
+            low = np.flatnonzero(fv <= INTERIOR_TOL)
+            if low.size == 0:
                 break
-            t /= 2.0
-        f = cand
-    raise ConvergenceError(
-        f"no certified maximizer within {max_iter} iterations "
-        f"(last residual {history[-1]:.3e})",
-        history=history,
-    )
+            # Ratio test: the first low entry to reach zero on the segment
+            # from f to the face point leaves the support.  Low entries
+            # count as zero, so the step never passes the face point.
+            start = f[nodes[low]]
+            gap = start - np.minimum(fv[low], 0.0)
+            ratio = np.zeros(low.size)
+            np.divide(start, gap, out=ratio, where=gap > 0.0)
+            drop = low[np.argmin(ratio)]
+            f[nodes] += ratio.min() * (fv - f[nodes])
+            f[nodes[drop]] = 0.0
+            nodes = np.delete(nodes, drop)
+        f = np.zeros(n)
+        f[nodes] = fv
 
 
 def characterize(solution: MaxVarSolution, source) -> CharacterizationReport:

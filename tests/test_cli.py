@@ -208,12 +208,43 @@ def test_bad_keep_rejected(capsys, edge_file):
     assert code == 1
 
 
-def test_output_is_byte_identical(capsys, edge_file):
-    main(["curvature", edge_file])
+@pytest.mark.parametrize("command", ["curvature", "maxvar", "embed"])
+def test_output_is_byte_identical(capsys, edge_file, command):
+    main([command, edge_file])
     first = capsys.readouterr().out
-    main(["curvature", edge_file])
+    main([command, edge_file])
     second = capsys.readouterr().out
     assert first == second
+
+
+MAXVAR_GOLDEN_TEXT = """\
+{
+  "command": "maxvar",
+  "status": "ok",
+  "inputs": {
+    "input": "%s",
+    "as_laplacian": false,
+    "tol": 1.0000000000000001e-09
+  },
+  "outputs": {
+    "f": [0, 0.5, 0.5, 0],
+    "support": [2, 3],
+    "value": 0.375,
+    "method": "iterative"
+  },
+  "residuals": {
+    "kkt": 2.2204460492503131e-16,
+    "support_curvature": 0,
+    "radius_value": 0
+  }
+}
+"""
+
+
+def test_maxvar_golden_text(capsys, edge_file):
+    # Whole-subcommand bytes on the showcase graph, solver included.
+    assert main(["maxvar", edge_file]) == 0
+    assert capsys.readouterr().out == MAXVAR_GOLDEN_TEXT % edge_file
 
 
 def test_reports_echo_inputs(capsys, edge_file):

@@ -114,6 +114,15 @@ def test_sigma2_subset_values():
     assert abs(sigma2_subset(SHOWCASE, range(4)) - 0.375) < 1e-12
 
 
+def test_sigma2_subset_rejects_bad_indices():
+    # Fractional indices are not truncated to nodes, as subset curvature
+    # rejects them too; out-of-range singletons fail like larger sets.
+    for subset in ([0.5, 2.7], [1.5], [4], [0, 4]):
+        with pytest.raises(ValidationError):
+            sigma2_subset(SHOWCASE, subset)
+    assert sigma2_subset(SHOWCASE, [1.0, 1]) == 0.0
+
+
 def test_sigma2_subset_monotone_on_chain():
     rng = np.random.default_rng(17)
     lap = random_scwb_laplacian(8, rng)

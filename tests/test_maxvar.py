@@ -1,15 +1,12 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from resgeo.errors import CapacityError, ValidationError
-from resgeo.generators import random_class_q
+from resgeo.errors import CapacityError, ConvergenceError, ValidationError
+from resgeo.generators import random_class_q, random_unsigned_laplacian
 from resgeo.graph import SignedLaplacianQ
 from resgeo.maxvar import (
     characterize,
     find_negative_curvature_support_instance,
-    project_to_simplex,
     solve_maxvar,
     solve_maxvar_exact,
     variance,
@@ -22,6 +19,10 @@ SINGLE_EDGE = np.array([[0.0, 1.0], [1.0, 0.0]])
 K3_OMEGA = (2.0 / 3.0) * (np.ones((3, 3)) - np.eye(3))
 
 P3_OMEGA = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]])
+
+#: The same path with node 0 in the middle: the default start is the node
+#: the optimum drops.
+P3_MIDDLE_0 = P3_OMEGA[np.ix_([1, 0, 2], [1, 0, 2])]
 
 
 def test_single_edge():
@@ -40,12 +41,15 @@ def test_triangle_uniform():
 
 
 def test_path_drops_the_middle_node():
-    for solver in (solve_maxvar, solve_maxvar_exact):
-        sol = solver(P3_OMEGA)
-        assert np.abs(sol.f - np.array([0.5, 0.0, 0.5])).max() < 1e-12
-        assert abs(sol.value - 0.5) < 1e-12
-        assert sol.support.tolist() == [0, 2]
-        assert sol.kkt_residual <= 1e-12
+    for omega, support in ((P3_OMEGA, [0, 2]), (P3_MIDDLE_0, [1, 2])):
+        for solver in (solve_maxvar, solve_maxvar_exact):
+            sol = solver(omega)
+            expected = np.zeros(3)
+            expected[support] = 0.5
+            assert np.abs(sol.f - expected).max() < 1e-12
+            assert abs(sol.value - 0.5) < 1e-12
+            assert sol.support.tolist() == support
+            assert sol.kkt_residual <= 1e-12
 
 
 def test_gradient_is_flat_at_the_path_optimum():
@@ -82,8 +86,11 @@ def test_exact_capacity_cap():
 
 def test_solvers_agree_on_random_instances():
     rng = np.random.default_rng(40)
-    for _ in range(20):
-        q = random_class_q(7, rng, ensure_signed=True)
+    draws = [random_class_q(7, rng, ensure_signed=True) for _ in range(20)]
+    # Trees: the optimum drops every interior node, often several at once.
+    draws += [random_unsigned_laplacian(n, rng, extra_edges=0)
+              for n in range(3, 10) for _ in range(5)]
+    for q in draws:
         omega = resistance_matrix_q(q)
         exact = solve_maxvar_exact(omega)
         iterative = solve_maxvar(omega)
@@ -95,8 +102,26 @@ def test_solvers_agree_on_random_instances():
 
 
 def test_solve_with_warm_start():
-    sol = solve_maxvar(P3_OMEGA, x0=[0.4, 0.2, 0.4])
-    assert abs(sol.value - 0.5) < 1e-12
+    # Every start but the first holds the middle node the optimum drops;
+    # the last two miss a node of the optimum as well.
+    for x0 in ([0.4, 0.2, 0.4], [0.2, 0.6, 0.2], [0.0, 1.0, 0.0], [0.0, 0.5, 0.5]):
+        sol = solve_maxvar(P3_OMEGA, x0=x0)
+        assert sol.support.tolist() == [0, 2]
+        assert abs(sol.value - 0.5) < 1e-12
+
+
+def test_face_solve_cap_raises_with_history():
+    # The triangle needs two face solves from a vertex: {0, 1}, then all.
+    with pytest.raises(ConvergenceError) as info:
+        solve_maxvar(K3_OMEGA, max_iter=1)
+    assert len(info.value.history) > 0
+    assert info.value.history[-1] > 0.0
+    assert solve_maxvar(K3_OMEGA, max_iter=2).support.tolist() == [0, 1, 2]
+
+
+def test_zero_omega_rejected():
+    with pytest.raises(ValidationError):
+        solve_maxvar(np.zeros((3, 3)))
 
 
 def test_characterize_against_raw_omega():
@@ -104,19 +129,6 @@ def test_characterize_against_raw_omega():
     report = characterize(sol, P3_OMEGA)
     assert report.passed
     assert abs(report.curvature.sigma2 - 0.5) < 1e-12
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.lists(st.floats(-10, 10), min_size=1, max_size=12))
-def test_simplex_projection(values):
-    f = project_to_simplex(np.array(values))
-    assert f.min() >= 0.0
-    assert abs(f.sum() - 1.0) < 1e-9
-
-
-def test_simplex_projection_fixes_points_already_on_simplex():
-    f = np.array([0.2, 0.3, 0.5])
-    assert np.abs(project_to_simplex(f) - f).max() < 1e-12
 
 
 def test_negative_curvature_search_bounds():

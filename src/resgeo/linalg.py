@@ -16,14 +16,22 @@ that the rest of the package relies on:
   symmetric.  :func:`pseudoinverse` (SVD) serves the nonsymmetric
   directed Laplacian ``L``, the independent cross-checks, and the
   symmetric call sites that say in a comment why they keep it;
-* Schur complements refuse to invert blocks with condition number above
-  ``1e12`` instead of silently amplifying noise.
+* Schur complements and :func:`solve_conditioned` refuse to invert
+  blocks with condition number above ``1e12`` instead of silently
+  amplifying noise.  The number depends on the block.  A Z-matrix block
+  whose solves certify it as a nonsingular M-matrix (every Kron
+  elimination of a directed Laplacian) is gated on
+  ``sqrt(kappa_1 kappa_inf)``, read off the ones-solutions that ride along
+  with the solve; this bounds ``kappa_2`` from above, so it never admits
+  a block that ``kappa_2`` refuses.  Any other block (``Q``, ``K``,
+  ``L_s^+``, a resistance matrix) is gated on ``kappa_2`` by SVD.
 
 All computations are float64.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,17 +65,16 @@ def _fix_signs(vectors, reference=None):
     The leading entry is the first one whose magnitude is significant
     relative to the column's largest entry; columns of a second matrix
     (`reference`) are flipped jointly so that factorizations stay valid.
+    An all-zero column is left as it is.
     """
-    for k in range(vectors.shape[1]):
-        col = vectors[:, k]
-        peak = np.abs(col).max()
-        if peak == 0.0:
-            continue
-        lead = np.flatnonzero(np.abs(col) > 1e-8 * peak)[0]
-        if col[lead] < 0:
-            vectors[:, k] = -col
-            if reference is not None:
-                reference[:, k] = -reference[:, k]
+    if vectors.size == 0:
+        return vectors
+    mags = np.abs(vectors)
+    lead = np.argmax(mags > 1e-8 * mags.max(axis=0), axis=0)
+    flip = vectors[lead, np.arange(vectors.shape[1])] < 0
+    np.negative(vectors, out=vectors, where=flip)
+    if reference is not None:
+        np.negative(reference, out=reference, where=flip)
     return vectors
 
 
@@ -179,12 +186,16 @@ def schur_complement(a, keep, cond_limit=COND_LIMIT):
     Eliminates the complement block ``e`` and returns
     ``a[k,k] - a[k,e] a[e,e]^{-1} a[e,k]`` with rows/columns in ascending
     ``keep`` order.  ``keep`` equal to the full index set returns a copy of
-    ``a``.
+    ``a``.  The block ``a[e,e]`` passes the gate of :func:`_gated_solve`:
+    the bound ``sqrt(kappa_1 kappa_inf) >= kappa_2`` from the solves when it
+    is a nonsingular M-matrix (every Kron elimination of a Laplacian), and
+    ``kappa_2`` by SVD otherwise.
 
     Raises
     ------
     DegenerateBlockError
-        If the eliminated block has condition number above ``cond_limit``.
+        If the eliminated block is singular or its condition number
+        exceeds ``cond_limit``.
     """
     m = as_square(a)
     n = m.shape[0]
@@ -192,14 +203,9 @@ def schur_complement(a, keep, cond_limit=COND_LIMIT):
     elim = np.setdiff1d(np.arange(n), kept)
     if elim.size == 0:
         return m[np.ix_(kept, kept)].copy()
-    aee = m[np.ix_(elim, elim)]
-    cond = np.linalg.cond(aee)
-    if not np.isfinite(cond) or cond > cond_limit:
-        raise DegenerateBlockError(
-            f"eliminated block over nodes {elim.tolist()} is singular or "
-            f"ill-conditioned (cond {cond:.3e} > {cond_limit:.0e})"
-        )
-    x = np.linalg.solve(aee, m[np.ix_(elim, kept)])
+    x = _gated_solve(m[np.ix_(elim, elim)], m[np.ix_(elim, kept)],
+                     f"eliminated block over nodes {elim.tolist()}",
+                     DegenerateBlockError, cond_limit)
     return m[np.ix_(kept, kept)] - m[np.ix_(kept, elim)] @ x
 
 
@@ -251,14 +257,59 @@ def centering_projector(n):
 
 
 def solve_conditioned(a, b, what="linear system", cond_limit=COND_LIMIT):
-    """Solve ``a x = b`` refusing condition numbers above ``cond_limit``."""
-    m = as_square(a)
-    cond = np.linalg.cond(m)
+    """Solve ``a x = b`` refusing condition numbers above ``cond_limit``.
+
+    The gate is that of :func:`schur_complement`: the solve-based bound
+    ``sqrt(kappa_1 kappa_inf)`` for a nonsingular M-matrix ``a``, and
+    ``kappa_2`` by SVD for any other matrix (a resistance matrix, ``K``
+    or ``L_s^+`` block, a shifted Laplacian).  A refusal raises
+    :class:`NumericError`.
+    """
+    return _gated_solve(as_square(a), np.asarray(b, dtype=float), what,
+                        NumericError, cond_limit)
+
+
+def _gated_solve(a, b, what, error, cond_limit):
+    """``a^{-1} b`` once the condition number of ``a`` is at most ``cond_limit``.
+
+    A Z-matrix ``a`` (no positive off-diagonal entry) is solved at once,
+    with a ones column appended to ``b``, together with ``a^T 1``.  When
+    both ones-solutions are strictly positive, ``a`` is a nonsingular
+    M-matrix (Berman & Plemmons, ch. 6), so ``a^{-1} >= 0`` and
+    ``||a^{-1}||_inf = max(a^{-1} 1)``, ``||a^{-1}||_1 = max(a^{-T} 1)``.
+    The gate then reads ``sqrt(kappa_1 kappa_inf)``, which bounds
+    ``kappa_2`` from above because ``||M||_2^2 <= ||M||_1 ||M||_inf`` for
+    every matrix ``M``.  Any other matrix is gated on ``kappa_2`` from
+    ``np.linalg.cond`` (an SVD), as is a Z-matrix whose ones-solutions are
+    not positive.  A singular ``a`` raises ``error`` like one above the
+    limit.
+    """
+    x = None
+    off = a.copy()
+    np.fill_diagonal(off, 0.0)
+    if off.max(initial=0.0) <= 0.0:
+        ones = np.ones(a.shape[0])
+        try:
+            xe = np.linalg.solve(a, np.column_stack((b, ones)))
+            col = np.linalg.solve(a.T, ones)
+        except np.linalg.LinAlgError:
+            raise error(f"{what} is singular") from None
+        row, x = xe[:, -1], xe[:, :-1].reshape(b.shape)
+        if row.min() > 0.0 and col.min() > 0.0:
+            # Square roots first, in Python floats: a bound too large for
+            # a float comes out as inf, which the gate refuses, and never
+            # as a numpy overflow warning.
+            cond = (math.sqrt(np.linalg.norm(a, 1)) * math.sqrt(col.max())
+                    * math.sqrt(np.linalg.norm(a, np.inf))
+                    * math.sqrt(row.max()))
+        else:
+            cond = np.linalg.cond(a)
+    else:
+        cond = np.linalg.cond(a)
     if not np.isfinite(cond) or cond > cond_limit:
-        raise NumericError(
-            f"{what} is singular or ill-conditioned (cond {cond:.3e})"
-        )
-    return np.linalg.solve(m, b)
+        raise error(f"{what} is singular or ill-conditioned "
+                    f"(cond {cond:.3e} > {cond_limit:.0e})")
+    return np.linalg.solve(a, b) if x is None else x
 
 
 def normalize_indices(indices, n, min_size=1, name="keep"):

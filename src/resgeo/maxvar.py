@@ -267,11 +267,13 @@ def solve_maxvar(omega, x0=None, tol=1e-9, max_iter=10000) -> MaxVarSolution:
     history = []
     solves = 0
     while True:
+        # f is zero off the support here, so g and the residual are what
+        # _certified would compute for it.
         g = om @ f
         history.append(_kkt_residual(g, nodes))
-        solution = _certified(om, nodes, f[nodes], tol_cert, "iterative")
-        if solution is not None:
-            return solution
+        if history[-1] <= tol_cert:
+            return MaxVarSolution(f=f, support=nodes, value=float(0.5 * f @ g),
+                                  kkt_residual=history[-1], method="iterative")
         nodes = np.union1d(nodes, [np.argmax(g)])
         while True:
             if solves == max_iter:

@@ -6,8 +6,16 @@ instead of factoring ``Q`` again.  A ``DirectedLaplacian`` fills in its
 balancing, ``L_s^+`` and ``(L_s^+)^+`` on first use and keeps them the
 same way.  The counts below are the calls of
 ``numpy.linalg.svd``, ``eigh``, ``cond`` and ``solve`` made by one library
-call.  The condition gate of ``solve_conditioned`` is one ``cond`` (whose
-own SVD is counted as a ``cond``, not as an ``svd``) and one ``solve``.
+call.  The condition gate of ``solve_conditioned`` and ``schur_complement``
+takes one of two routes.  A block with a positive off-diagonal entry (a
+resistance matrix, most ``K`` blocks) is one ``cond`` (whose own SVD is
+counted as a ``cond``, not as an ``svd``) and one ``solve``.  The
+eliminated block of a Kron reduction is a Z-matrix and takes two
+``solve`` and no ``cond``: its ones-solutions certify it as an M-matrix
+and give the bound ``sqrt(kappa_1 kappa_inf)`` on its condition number.
+
+The sign convention of ``sym_eig`` and ``svd`` is checked bit for bit
+against a per-column reference loop kept here.
 """
 
 from collections import Counter
@@ -40,10 +48,12 @@ from resgeo.graph import (
     validate_class_q,
     weight_balance,
 )
-from resgeo.linalg import centering_projector
+from resgeo.kron import kron_reduce
+from resgeo.linalg import _fix_signs, centering_projector, svd, sym_eig
 from resgeo.maxvar import characterize, solve_maxvar
 from resgeo.resistance import (
     classify_metric,
+    effective_resistance_directed,
     resistance_matrix_q,
     resistance_matrix_sc,
     resistance_matrix_scwb,
@@ -182,6 +192,106 @@ def test_undirect_reads_the_kept_sym_pinv(kernels):
     kernels.clear()
     undirect(lap)
     assert (kernels["svd"], kernels["eigh"]) == (1, 2)
+
+
+@pytest.mark.parametrize("derive", [
+    lambda lap: kron_reduce(lap, HALF),
+    lambda lap: effective_resistance_directed(lap, 3, 8),
+], ids=["kron_reduce", "pair_resistance"])
+def test_kron_elimination_is_gated_without_svd(kernels, derive):
+    # The eliminated Laplacian block is an M-matrix: one solve of
+    # L[e,e] [L[e,k] | 1] and one of L[e,e]^T 1 give the reduction and
+    # the gate's number.
+    derive(DirectedLaplacian(SC20))
+    assert (kernels["svd"], kernels["eigh"]) == (0, 0)
+    assert (kernels["cond"], kernels["solve"]) == (0, 2)
+
+
+def test_commutativity_gates_its_kernel_block_by_svd(kernels):
+    # The K = (L_s^+)^+ block has positive off-diagonal entries, so it
+    # keeps the SVD gate (1 cond + 1 solve); the Kron side takes 2 solves.
+    check_commutativity(DirectedLaplacian(SCWB20), HALF)
+    assert (kernels["cond"], kernels["solve"]) == (1, 3)
+
+
+def _reference_signs(vectors, reference=None):
+    """The sign convention one column at a time: the first entry above
+    1e-8 of the column's peak magnitude is made positive."""
+    for k in range(vectors.shape[1]):
+        col = vectors[:, k]
+        peak = np.abs(col).max()
+        if peak == 0.0:
+            continue
+        lead = np.flatnonzero(np.abs(col) > 1e-8 * peak)[0]
+        if col[lead] < 0:
+            vectors[:, k] = -col
+            if reference is not None:
+                reference[:, k] = -reference[:, k]
+    return vectors
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+SYMMETRIC = {
+    "gaussian": (lambda h: h + h.T)(np.random.default_rng(3).normal(size=(12, 12))),
+    "q30": Q30.matrix,
+    "k4_laplacian": 4.0 * np.eye(4) - np.ones((4, 4)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SYMMETRIC))
+def test_sym_eig_signs_match_the_column_loop(name):
+    m = SYMMETRIC[name]
+    w, v = np.linalg.eigh((m + m.T) / 2.0)
+    order = np.argsort(w)[::-1]
+    expected = _reference_signs(np.ascontiguousarray(v[:, order]))
+    eig = sym_eig(m)
+    assert _same_bits(eig.values, w[order])
+    assert _same_bits(eig.vectors, expected)
+
+
+@pytest.mark.parametrize("shape", [(7, 4), (4, 7), (20, 20), (0, 3)])
+def test_svd_signs_match_the_column_loop(shape):
+    m = (SC20 if shape == (20, 20)
+         else np.random.default_rng(shape[0]).normal(size=shape))
+    u, s, vt = np.linalg.svd(m, full_matrices=False)
+    v = np.ascontiguousarray(vt.T)
+    u = _reference_signs(np.ascontiguousarray(u), reference=v)
+    d = svd(m)
+    assert _same_bits(d.s, s)
+    assert _same_bits(d.u, u)
+    assert _same_bits(d.v, v)
+
+
+SIGN_CASES = {
+    # A zero column (one of them -0.0) is left alone.
+    "zero_column": np.array([[0.0, -1.0, -0.0], [0.0, 2.0, -0.0]]),
+    # Entries at or below 1e-8 of the peak do not lead, whatever their sign.
+    "small_leading": np.array([[5e-9, -5e-9, -2e-8, 1e-8, -0.0],
+                               [-1.0, 1.0, 1.0, -1.0, -1.0],
+                               [0.3, -0.3, 0.3, 0.3, 0.0]]),
+    "gaussian": np.random.default_rng(7).normal(size=(6, 5)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SIGN_CASES))
+@pytest.mark.parametrize("joint", [False, True], ids=["alone", "joint"])
+def test_fix_signs_matches_the_column_loop(name, joint):
+    vectors = SIGN_CASES[name]
+    reference = (np.arange(4.0 * vectors.shape[1]).reshape(4, -1) - 5.0
+                 if joint else None)
+    got = vectors.copy()
+    got_ref = None if reference is None else reference.copy()
+    expected = vectors.copy()
+    expected_ref = None if reference is None else reference.copy()
+    assert _fix_signs(got, got_ref) is got
+    _reference_signs(expected, expected_ref)
+    assert _same_bits(got, expected)
+    if joint:
+        assert _same_bits(got_ref, expected_ref)
+        assert not _same_bits(got_ref, reference)
 
 
 def _leaves(value):

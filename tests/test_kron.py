@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from resgeo.errors import StructureError, ValidationError
+from resgeo.errors import DegenerateBlockError, StructureError, ValidationError
 from resgeo.generators import random_class_q, random_keep, random_scwb_laplacian
 from resgeo.graph import DirectedLaplacian, laplacian_from_edges
 from resgeo.kron import kron_reduce, kron_reduce_q
 from resgeo.linalg import schur_complement
+from resgeo.resistance import effective_resistance_directed
 
 SHOWCASE = DirectedLaplacian(np.array([
     [3.0, -1.0, -2.0, 0.0],
@@ -62,6 +63,29 @@ def test_unreachable_keep_rejected():
     with pytest.raises(StructureError, match="2"):
         kron_reduce(dag, [0, 1])  # node 2 is a sink, nothing reaches back
     kron_reduce(dag, [1, 2])  # eliminating the source is fine
+
+
+def _leaky_cycle(weight):
+    """Unit 4-cycle on nodes 0..3 whose only edge out, 3 -> 4, has the given
+    weight; nodes 4 and 5 form a unit 2-cycle and 4 feeds the big cycle."""
+    edges = [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (3, 0, 1.0),
+             (3, 4, weight), (4, 5, 1.0), (5, 4, 1.0), (4, 0, 1.0)]
+    return laplacian_from_edges(6, edges)
+
+
+def test_near_singular_elimination_is_refused():
+    # Eliminating the 4-cycle leaves a nonsingular M-matrix block with
+    # kappa_2 about 8e14, above the 1e12 gate: the solve-based bound
+    # refuses it as the SVD did.
+    lap = _leaky_cycle(1e-14)
+    block = lap.matrix[:4, :4]
+    assert np.linalg.cond(block) > 1e14
+    with pytest.raises(DegenerateBlockError):
+        kron_reduce(lap, [4, 5])
+    with pytest.raises(DegenerateBlockError):
+        effective_resistance_directed(lap, 4, 5)
+    # The same graph with a unit leak reduces.
+    assert kron_reduce(_leaky_cycle(1.0), [4, 5]).preserved.row_sums_zero
 
 
 def test_keep_needs_two_nodes():

@@ -173,6 +173,72 @@ def test_schur_singular_block_raises():
         schur_sequential(a, [0])
 
 
+def _wide_weight_laplacian(n, rng):
+    """Directed Laplacian of a Hamiltonian cycle plus random edges, with
+    weights spread log-uniformly over 1e-4..1e4."""
+    adjacency = np.zeros((n, n))
+    order = rng.permutation(n)
+    for i in range(n):
+        adjacency[order[i], order[(i + 1) % n]] += 10.0 ** rng.uniform(-4, 4)
+    for _ in range(int(rng.integers(0, 2 * n))):
+        src, dst = rng.integers(0, n, size=2)
+        if src != dst:
+            adjacency[src, dst] += 10.0 ** rng.uniform(-4, 4)
+    lap = -adjacency
+    np.fill_diagonal(lap, adjacency.sum(axis=1))
+    return lap
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_laplacian_block_gate_is_never_weaker_than_kappa2(monkeypatch, seed):
+    # The eliminated block of a Laplacian is a nonsingular M-matrix, gated
+    # on sqrt(kappa_1 kappa_inf) without an SVD.  That number must lie in
+    # [kappa_2, n kappa_2]: with the limit just under kappa_2 the gate
+    # refuses, with the limit at n kappa_2 it passes.
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(3, 61))
+    lap = _wide_weight_laplacian(n, rng)
+    keep = np.sort(rng.choice(n, int(rng.integers(1, n)), replace=False))
+    elim = np.setdiff1d(np.arange(n), keep)
+    kappa2 = np.linalg.cond(lap[np.ix_(elim, elim)])
+
+    def no_svd(*args, **kwargs):
+        raise AssertionError("an M-matrix block was gated by SVD")
+
+    monkeypatch.setattr(np.linalg, "cond", no_svd)
+    with pytest.raises(DegenerateBlockError):
+        schur_complement(lap, keep, cond_limit=kappa2 * (1.0 - 1e-12))
+    schur_complement(lap, keep, cond_limit=elim.size * kappa2 * (1.0 + 1e-12))
+
+
+def test_singular_z_block_raises_degenerate_not_linalg_error():
+    # Nodes 0 and 1 only reach each other: the eliminated block
+    # [[1, -1], [-1, 1]] is exactly singular and its LU hits a zero pivot.
+    lap = np.array([[1.0, -1.0, 0.0], [-1.0, 1.0, 0.0], [0.0, -1.0, 1.0]])
+    with pytest.raises(DegenerateBlockError, match="singular"):
+        schur_complement(lap, [2])
+    with pytest.raises(NumericError, match="test system is singular"):
+        solve_conditioned(lap[:2, :2], np.ones(2), what="test system")
+
+
+def test_z_block_that_is_not_an_m_matrix_is_gated_by_svd():
+    # [[1, -2], [-2, 1]] is a Z-matrix with inverse -[[1, 2], [2, 1]] / 3:
+    # its ones-solutions are negative, so it is not an M-matrix, and its
+    # kappa_2 = 3 is read by SVD; it passes the gate as before.  The
+    # complement onto node 2 is 2 - (-1/3) = 7/3.
+    a = np.array([[1.0, -2.0, 1.0], [-2.0, 1.0, 0.0], [1.0, 0.0, 2.0]])
+    assert abs(schur_complement(a, [2])[0, 0] - 7.0 / 3.0) < 1e-14
+    with pytest.raises(DegenerateBlockError):
+        schur_complement(a, [2], cond_limit=2.9)
+
+
+def test_gate_overflow_is_refused_without_a_warning():
+    # kappa = 1e600 overflows a float; RuntimeWarnings are errors in tests.
+    a = np.diag([1e-300, 1e300, 1.0])
+    with pytest.raises(DegenerateBlockError, match="cond inf"):
+        schur_complement(a, [2])
+
+
 def test_inertia_counts():
     sig = inertia(np.diag([2.0, -1.0, 0.0, 3.0]))
     assert (sig.positive, sig.negative, sig.zero) == (2, 1, 1)

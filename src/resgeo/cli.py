@@ -38,6 +38,7 @@ from .errors import ResgeoError, ValidationError
 from .graph import (
     STRUCTURAL_TOL,
     DirectedLaplacian,
+    SignedLaplacianQ,
     laplacian_from_edges,
     pinv_via_shift,
     validate_class_q,
@@ -211,13 +212,13 @@ def load_graph(path, as_laplacian=False):
         try:
             return LoadedGraph("directed", lap=DirectedLaplacian(matrix))
         except ValidationError as directed_error:
-            report = validate_class_q(matrix)
-            if report.ok:
-                return LoadedGraph("class_q", q=report.laplacian)
-            raise ValidationError(
-                f"{path}: not a directed Laplacian ({directed_error}) and "
-                f"not a signed Laplacian ({report.failure})"
-            ) from directed_error
+            try:
+                return LoadedGraph("class_q", q=SignedLaplacianQ(matrix))
+            except ValidationError as signed_error:
+                raise ValidationError(
+                    f"{path}: not a directed Laplacian ({directed_error}) "
+                    f"and {signed_error}"
+                ) from directed_error
     return LoadedGraph("directed", lap=_parse_edge_list(lines, path))
 
 
@@ -231,10 +232,6 @@ def _parse_keep(text, n):
     if len(set(nodes)) < 2:
         raise ValidationError("--keep needs at least two distinct nodes")
     return sorted(v - 1 for v in set(nodes))
-
-
-def _matrix_out(m):
-    return [list(map(float, row)) for row in np.asarray(m)]
 
 
 def _cmd_check(args):
@@ -270,7 +267,7 @@ def _cmd_kron(args):
     if loaded.kind == "directed":
         result = kron_reduce(loaded.lap, keep)
         outputs = {
-            "reduced": _matrix_out(result.reduced.matrix),
+            "reduced": result.reduced.matrix,
             "kept": [int(i) + 1 for i in result.kept],
             "preserved": {
                 "row_sums_zero": result.preserved.row_sums_zero,
@@ -291,7 +288,7 @@ def _cmd_kron(args):
         before = resistance_matrix_q(loaded.q).omega
         after = resistance_matrix_q(reduced).omega
         outputs = {
-            "reduced": _matrix_out(reduced.matrix),
+            "reduced": reduced.matrix,
             "kept": [int(i) + 1 for i in keep],
             "preserved": {"class_q": True},
         }
@@ -310,7 +307,7 @@ def _cmd_resistance(args):
     sig = inertia(rm.omega) if rm.kind != "directed_sc" else None
     outputs = {
         "kind": rm.kind,
-        "omega": _matrix_out(rm.omega),
+        "omega": rm.omega,
     }
     if sig is not None:
         outputs["inertia"] = [sig.positive, sig.negative, sig.zero]
@@ -320,25 +317,14 @@ def _cmd_resistance(args):
 
 def _cmd_curvature(args):
     loaded = load_graph(args.input, args.as_laplacian)
-    fb = None
     if loaded.kind == "directed":
-        lap = loaded.lap
-        if lap.strongly_connected and lap.weight_balanced:
-            cr = curvature_radius_scwb(lap)
-            fb = verify_fiedler_bapat(lap)
-        else:
-            cr = curvature_radius_sc(lap)
+        source, cr = loaded.lap, curvature_radius_sc(loaded.lap)
     else:
-        cr = curvature_radius_q(loaded.q)
-        fb = verify_fiedler_bapat(loaded.q)
-    outputs = {
-        "p": cr.p,
-        "sigma2": cr.sigma2,
-        "zeta": cr.zeta,
-    }
+        source, cr = loaded.q, curvature_radius_q(loaded.q)
+    outputs = {"p": cr.p, "sigma2": cr.sigma2, "zeta": cr.zeta}
     residuals = {}
-    if fb is not None:
-        residuals["fiedler_bapat"] = fb.residual
+    if loaded.kind != "directed" or source.weight_balanced:
+        residuals["fiedler_bapat"] = verify_fiedler_bapat(source).residual
     return {"outputs": outputs, "residuals": residuals}, EXIT_OK
 
 
@@ -384,12 +370,12 @@ def _cmd_embed(args):
     if args.out:
         export_coordinates(emb, geo, args.out)
     outputs = {
-        "coordinates": _matrix_out(emb.coordinates),
+        "coordinates": emb.coordinates,
         "eigenvalues": emb.eigenvalues,
         "circumcenter": geo.circumcenter,
         "circumradius": geo.circumradius,
-        "cos_dihedral": _matrix_out(geo.cos_dihedral),
-        "cos_vertex": _matrix_out(geo.cos_vertex),
+        "cos_dihedral": geo.cos_dihedral,
+        "cos_vertex": geo.cos_vertex,
         "exported": args.out,
     }
     residuals = {
@@ -411,7 +397,7 @@ def _cmd_balance(args):
     direct = curvature_radius_scwb(wb.balanced)
     outputs = {
         "m": wb.m,
-        "balanced": _matrix_out(wb.balanced.matrix),
+        "balanced": wb.balanced.matrix,
         "p": before.p,
         "sigma2": before.sigma2,
         "p_balanced": direct.p,

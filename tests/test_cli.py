@@ -149,6 +149,16 @@ def test_signed_laplacian_input(capsys, signed_file):
     assert report["residuals"]["kkt"] < 1e-9
 
 
+def test_csv_of_neither_class_names_both_failures(capsys, tmp_path):
+    path = tmp_path / "neither.csv"
+    path.write_text("1,1,-2\n-1,2,-1\n0,-1,1\n")
+    code, report = run_cli(capsys, "check", str(path), "--as-laplacian")
+    assert code == 1
+    message = report["error"]["message"]
+    assert "not a directed Laplacian (off-diagonal entry (0, 1)" in message
+    assert "not a valid signed Laplacian: asymmetric" in message
+
+
 def test_verify_command(capsys):
     code, report = run_cli(capsys, "verify", "--cases", "2", "--n-max", "6")
     assert code == 0
@@ -208,11 +218,27 @@ def test_bad_keep_rejected(capsys, edge_file):
     assert code == 1
 
 
-@pytest.mark.parametrize("command", ["curvature", "maxvar", "embed"])
-def test_output_is_byte_identical(capsys, edge_file, command):
-    main([command, edge_file])
+RERUN_CASES = (
+    [("edge_file", c) for c in ("check", "kron", "resistance", "curvature",
+                                "maxvar", "embed", "balance")]
+    + [("signed_file", c) for c in ("check", "kron", "resistance",
+                                    "curvature", "maxvar", "embed")]
+)
+
+
+@pytest.mark.parametrize("source, command", RERUN_CASES, ids=[
+    command if source == "edge_file" else f"signed-{command}"
+    for source, command in RERUN_CASES
+])
+def test_output_is_byte_identical(capsys, request, source, command):
+    argv = [command, request.getfixturevalue(source)]
+    if source == "signed_file":
+        argv.append("--as-laplacian")
+    if command == "kron":
+        argv += ["--keep", "1,2,4"]
+    assert main(argv) == 0
     first = capsys.readouterr().out
-    main([command, edge_file])
+    main(argv)
     second = capsys.readouterr().out
     assert first == second
 

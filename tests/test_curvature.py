@@ -14,7 +14,7 @@ from resgeo.curvature import (
     verify_fiedler_bapat,
     wb_transform,
 )
-from resgeo.errors import StructureError, ValidationError
+from resgeo.errors import NumericError, StructureError, ValidationError
 from resgeo.generators import random_class_q, random_scwb_laplacian
 from resgeo.graph import DirectedLaplacian, SignedLaplacianQ, weight_balance
 from resgeo.resistance import (
@@ -175,14 +175,18 @@ def test_commutativity_on_scwb():
     assert check.passed, check.residual
 
 
-def unbalanced_digraph(n, rng, extra_edges):
-    """Hamiltonian cycle plus random extra edges, weights on [0.5, 2]."""
+def unbalanced_digraph(n, rng, extra_edges, weights=None):
+    """Hamiltonian cycle plus random extra edges.  Weights are uniform on
+    [0.5, 2] unless ``weights(rng, size)`` draws them."""
+    if weights is None:
+        def weights(rng, size):
+            return rng.uniform(0.5, 2.0, size=size)
     adjacency = np.zeros((n, n))
     order = rng.permutation(n)
-    adjacency[order, np.roll(order, -1)] = rng.uniform(0.5, 2.0, size=n)
+    adjacency[order, np.roll(order, -1)] = weights(rng, n)
     src = rng.integers(0, n, size=extra_edges)
     dst = rng.integers(0, n, size=extra_edges)
-    w = rng.uniform(0.5, 2.0, size=extra_edges)
+    w = weights(rng, extra_edges)
     loop = src == dst
     np.add.at(adjacency, (src[~loop], dst[~loop]), w[~loop])
     lap = -adjacency
@@ -201,6 +205,89 @@ def test_undirect_symmetrizes_pseudoinverse_roundoff():
     assert np.array_equal(q.matrix, q.matrix.T)
     check = check_commutativity(balanced, np.sort(rng.choice(n, n // 2, replace=False)))
     assert check.passed, check.residual
+
+
+def _uniform_weights(rng, size):
+    return rng.uniform(1e-2, 1e2, size=size)
+
+
+def _log_uniform_weights(rng, size):
+    return 10.0 ** rng.uniform(-2.0, 2.0, size=size)
+
+
+@pytest.mark.parametrize("weights", [_uniform_weights, _log_uniform_weights],
+                         ids=["uniform", "log_uniform"])
+@pytest.mark.parametrize("n", [2, 3, 12, 60])
+def test_sc_curvature_closed_form_matches_the_gated_solve(n, weights):
+    # The closed form from the balanced graph's K, p_b and sigma_b^2
+    # against p = Omega^{-1} 1 / s, sigma^2 = 1 / (2 s) on the directed
+    # resistance matrix, with weights on [1e-2, 1e2].  Log-uniform weights
+    # spread the balancing vector over decades, and kappa_2(Omega) reaches
+    # 4e10 on these draws; there the solve itself is only good to about
+    # eps * kappa_2(Omega), which bounds the agreement instead.
+    for seed in range(5):
+        rng = np.random.default_rng([n, seed])
+        lap = unbalanced_digraph(n, rng, extra_edges=n, weights=weights)
+        assert lap.strongly_connected and not lap.weight_balanced
+        omega = resistance_matrix_sc(lap)
+        tol = max(1e-10, np.finfo(float).eps * np.linalg.cond(omega.omega))
+        closed = curvature_radius_sc(lap)
+        solved = subset_curvature_radius(omega, range(n))
+        assert np.abs(closed.p - solved.p).max() <= tol * np.abs(solved.p).max()
+        assert abs(closed.sigma2 - solved.sigma2) <= tol * solved.sigma2
+
+
+def test_sc_curvature_of_a_balanced_graph_is_the_scwb_pair():
+    lap = random_scwb_laplacian(9, np.random.default_rng(4))
+    sc, scwb = curvature_radius_sc(lap), curvature_radius_scwb(lap)
+    assert np.array_equal(sc.p, scwb.p) and sc.sigma2 == scwb.sigma2
+    assert np.array_equal(sc.zeta, scwb.zeta)
+
+
+def test_sc_curvature_refuses_a_nonpositive_ones_form():
+    # A strongly connected digraph whose 1^T Omega^{-1} 1 is negative
+    # (about -4.19, with kappa_2(Omega) about 3e4): the closed form's
+    # s = p_b . (1/m) has the same sign and is refused as the solve was.
+    adjacency = np.array([[0.0, 0.0, 0.0366, 0.0141],
+                          [0.138, 0.0, 4.43, 0.0],
+                          [0.0431, 0.0, 0.0, 92.8],
+                          [221.0, 812.0, 0.0, 0.0]])
+    lap = DirectedLaplacian(np.diag(adjacency.sum(axis=1)) - adjacency)
+    omega = resistance_matrix_sc(lap).omega
+    assert np.ones(4) @ np.linalg.solve(omega, np.ones(4)) < 0.0
+    with pytest.raises(NumericError):
+        subset_curvature_radius(omega, range(4))
+    with pytest.raises(NumericError):
+        curvature_radius_sc(lap)
+
+
+def test_kernel_that_lost_span_one_is_refused():
+    # Balancing this digraph spreads m over 3.9e-10..25, and the balanced
+    # graph's K = (L_s^+)^+ comes out with row sums about ten times its
+    # largest entry.  The closed forms built on it must raise, not return
+    # a pair that is off by order one (sigma_b^2 6.3e6 against 1.2e7).
+    rng = np.random.default_rng([60, 1, 7])
+    lap = unbalanced_digraph(60, rng, extra_edges=60,
+                             weights=_log_uniform_weights)
+    balanced = weight_balance(lap).balanced
+    for derive in (curvature_radius_scwb, verify_fiedler_bapat, undirect):
+        with pytest.raises(NumericError):
+            derive(balanced)
+    with pytest.raises(NumericError):
+        curvature_radius_sc(lap)
+    assert balanced._kernel is None
+
+
+@pytest.mark.parametrize("matrix", [
+    [[1.0, -1.0, 0.0], [0.0, 1.0, -1.0], [0.0, 0.0, 0.0]],
+    [[1.0, -1.0, 0.0, 0.0], [-1.0, 1.0, 0.0, 0.0],
+     [0.0, 0.0, 1.0, -1.0], [0.0, 0.0, -1.0, 1.0]],
+], ids=["path", "two_components"])
+def test_sc_curvature_rejects_graphs_that_are_not_strongly_connected(matrix):
+    lap = DirectedLaplacian(np.array(matrix))
+    assert not lap.strongly_connected
+    with pytest.raises(StructureError):
+        curvature_radius_sc(lap)
 
 
 def test_noncommutativity_witness():

@@ -23,6 +23,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from resgeo.cli import load_graph
 from resgeo.curvature import (
     check_commutativity,
     curvature_radius_q,
@@ -76,6 +77,15 @@ def kernels(monkeypatch):
 
 def test_construction_takes_one_eigh(kernels):
     SignedLaplacianQ(Q30.matrix)
+    assert (kernels["svd"], kernels["eigh"]) == (0, 1)
+
+
+def test_cli_loads_a_signed_csv_with_one_eigh(kernels, tmp_path):
+    path = tmp_path / "q.csv"
+    path.write_text("\n".join(",".join(format(v, ".17g") for v in row)
+                              for row in Q30.matrix) + "\n")
+    loaded = load_graph(str(path), as_laplacian=True)
+    assert loaded.kind == "class_q"
     assert (kernels["svd"], kernels["eigh"]) == (0, 1)
 
 
@@ -164,9 +174,17 @@ def test_unbalanced_object_balances_and_inverts_once(kernels):
     weight_balance(lap)
     resistance_matrix_sc(lap)
     curvature_radius_sc(lap)
-    # The SVD of L^T for the balancing, then of the balanced L for L_s^+;
-    # without the kept factorizations the three calls took five.
-    assert (kernels["svd"], kernels["eigh"]) == (2, 0)
+    # The SVD of L^T for the balancing, of the balanced L for L_s^+ and of
+    # the balanced L_s^+ for K; without the kept factorizations the three
+    # calls took five.  The curvature's closed form reads K, so the third
+    # SVD replaces the gated Omega solve it took before.
+    assert (kernels["svd"], kernels["eigh"]) == (3, 0)
+
+
+def test_sc_curvature_takes_no_gate_and_no_solve(kernels):
+    lap = DirectedLaplacian(SC20)
+    curvature_radius_sc(lap)
+    assert (kernels["cond"], kernels["solve"]) == (0, 0)
 
 
 def test_balanced_object_factors_once(kernels):
@@ -175,9 +193,10 @@ def test_balanced_object_factors_once(kernels):
     curvature_radius_scwb(lap)
     verify_fiedler_bapat(lap)
     reduce_curvature_radius(lap, HALF)
-    # One SVD for L_s^+ and one eigh for (L_s^+)^+, where each call
-    # took one of each before.
-    assert (kernels["svd"], kernels["eigh"]) == (1, 1)
+    # One SVD for L_s^+ and one for K = (L_s^+)^+, where each call took
+    # one SVD and one eigh before.  K takes the SVD route that undirect
+    # takes, so undirect on this object reads it.
+    assert (kernels["svd"], kernels["eigh"]) == (2, 0)
 
 
 def test_undirect_factors_twice_on_a_fresh_object(kernels):
@@ -192,6 +211,19 @@ def test_undirect_reads_the_kept_sym_pinv(kernels):
     kernels.clear()
     undirect(lap)
     assert (kernels["svd"], kernels["eigh"]) == (1, 2)
+
+
+def test_undirect_reads_the_kept_kernel(kernels):
+    # After the curvature has formed K, undirect only validates it: the
+    # two eigh calls of validate_class_q and no SVD.
+    lap = DirectedLaplacian(SCWB20)
+    curvature_radius_scwb(lap)
+    kernels.clear()
+    q = undirect(lap)
+    assert (kernels["svd"], kernels["eigh"]) == (0, 2)
+    # validation recomputes the diagonal from the off-diagonal part
+    off = ~np.eye(lap.n, dtype=bool)
+    assert np.array_equal(q.matrix[off], _shared_kernel(lap)[off])
 
 
 @pytest.mark.parametrize("derive", [

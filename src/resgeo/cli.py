@@ -317,14 +317,25 @@ def _cmd_resistance(args):
 
 def _cmd_curvature(args):
     loaded = load_graph(args.input, args.as_laplacian)
+    fb = None
     if loaded.kind == "directed":
-        source, cr = loaded.lap, curvature_radius_sc(loaded.lap)
+        lap = loaded.lap
+        if lap.strongly_connected and lap.weight_balanced:
+            cr = curvature_radius_scwb(lap)
+            fb = verify_fiedler_bapat(lap)
+        else:
+            cr = curvature_radius_sc(lap)
     else:
-        source, cr = loaded.q, curvature_radius_q(loaded.q)
-    outputs = {"p": cr.p, "sigma2": cr.sigma2, "zeta": cr.zeta}
+        cr = curvature_radius_q(loaded.q)
+        fb = verify_fiedler_bapat(loaded.q)
+    outputs = {
+        "p": cr.p,
+        "sigma2": cr.sigma2,
+        "zeta": cr.zeta,
+    }
     residuals = {}
-    if loaded.kind != "directed" or source.weight_balanced:
-        residuals["fiedler_bapat"] = verify_fiedler_bapat(source).residual
+    if fb is not None:
+        residuals["fiedler_bapat"] = fb.residual
     return {"outputs": outputs, "residuals": residuals}, EXIT_OK
 
 

@@ -14,11 +14,11 @@ pseudoinverse ``(L_s^+)^+`` in the Laplacian slot,
 with ``p = (1/2) (L_s^+)^+ zeta + 1/n`` and
 ``sigma^2 = (1/4) zeta^T (L_s^+)^+ zeta + 1^T zeta / n`` for
 ``zeta = diag(L_s^+)``, and verbatim to signed Laplacians with ``Q`` in
-place of ``(L_s^+)^+``.  Its corollary ``Omega_b^{-1} = -K/2 + p_b p_b^T
-/ (2 sigma_b^2)``, ``K = (L_s^+)^+``, moves a balanced graph's pair to a
-strongly connected graph with balancing vector ``m``: ``p = p_b -
-sigma_b^2 K u / s``, ``sigma^2 = sigma_b^2 / s`` for ``u = 1/m``,
-``s = p_b . u``.  A gated solve serves only proper subsets.
+place of ``(L_s^+)^+``.  The gated solve ``p = Omega^{-1} 1 /
+(1^T Omega^{-1} 1)``, ``sigma^2 = 1 / (2 * 1^T Omega^{-1} 1)`` serves
+proper subsets (``subset_curvature_radius``) and ``curvature_radius_sc``,
+which reads any strongly connected graph's asymmetric resistance matrix
+and needs no balanced graph's ``(L_s^+)^+``.
 
 This module also covers how the pair ``(p, sigma^2)`` moves under weight
 balancing and under Kron reduction, and the subset radius function
@@ -44,7 +44,6 @@ from .graph import (
     _shared_sym_pinv,
     sym_pinv,
     validate_class_q,
-    weight_balance,
 )
 from .kron import kron_reduce
 from .linalg import (
@@ -56,6 +55,7 @@ from .linalg import (
 from .resistance import (
     ResistanceMatrix,
     _omega_from_kernel,
+    resistance_matrix_sc,
     resistance_matrix_scwb,
 )
 
@@ -163,12 +163,6 @@ def _require_scwb(lap):
         raise StructureError("requires a weight-balanced graph")
 
 
-def _centered_product(kernel, v):
-    """``J K J v``, ``J`` the centering projector: ``K v`` if ``K 1 = 0``."""
-    w = kernel @ (v - v.mean())
-    return w - w.mean()
-
-
 def _closed_form(source):
     """``(kernel, kernel_pinv, zeta, p, sigma2)`` from ``Q`` and ``Q^+``, or
     from the kept ``K`` and ``L_s^+``; a computed ``K`` carries roundoff
@@ -187,7 +181,8 @@ def _closed_form(source):
         p = 0.5 * kernel @ zeta + 1.0 / n
         sigma2 = float(0.25 * zeta @ kernel @ zeta + zeta.sum() / n)
     else:
-        kz = _centered_product(kernel, zeta)
+        kz = kernel @ (zeta - zeta.mean())  # J K J zeta, J the centering
+        kz -= kz.mean()
         p, sigma2 = 0.5 * kz + 1.0 / n, float(0.25 * zeta @ kz + zeta.mean())
     return kernel, kernel_pinv, zeta, p, sigma2
 
@@ -214,6 +209,18 @@ def verify_fiedler_bapat(source) -> FiedlerBapat:
     return FiedlerBapat(lhs=lhs, rhs=-0.5 * core, residual=residual)
 
 
+def _solved(omega, what):
+    """Gated ``x = Omega^{-1} 1``: ``p = x / 1^T x``, ``sigma2 = 1/(2 1^T x)``."""
+    x = solve_conditioned(omega, np.ones(omega.shape[0]), what=what)
+    denom = float(x.sum())
+    if denom <= 0.0:
+        raise NumericError(
+            f"1^T Omega^{{-1}} 1 = {denom:.3e} is not positive for the {what}; "
+            "it is not a valid resistance geometry"
+        )
+    return CurvatureRadius(p=x / denom, sigma2=1.0 / (2.0 * denom))
+
+
 def subset_curvature_radius(omega, subset) -> CurvatureRadius:
     """Curvature and radius of a principal block of a resistance matrix.
 
@@ -223,38 +230,17 @@ def subset_curvature_radius(omega, subset) -> CurvatureRadius:
     """
     om = omega.omega if isinstance(omega, ResistanceMatrix) else as_square(omega)
     sub = normalize_indices(subset, om.shape[0], min_size=2, name="subset")
-    x = solve_conditioned(om[np.ix_(sub, sub)], np.ones(sub.size),
-                          what="resistance principal block")
-    denom = float(x.sum())
-    if denom <= 0.0:
-        raise NumericError(f"1^T Omega^{{-1}} 1 = {denom:.3e} is not positive "
-                           "for the resistance principal block; it is not a "
-                           "valid resistance geometry")
-    return CurvatureRadius(p=x / denom, sigma2=1.0 / (2.0 * denom))
+    return _solved(om[np.ix_(sub, sub)], "resistance principal block")
 
 
 def curvature_radius_sc(lap: DirectedLaplacian) -> CurvatureRadius:
-    """Curvature and radius of a strongly connected graph, closed form.
+    """Curvature and radius of a strongly connected graph.
 
-    ``Omega p = 2 sigma^2 1`` for ``Omega = diag(m) Omega_b``, ``m`` the
-    balancing vector.  The balanced graph's corollary ``Omega_b^{-1} =
-    -K/2 + p_b p_b^T / (2 sigma_b^2)`` gives ``Omega^{-1} 1 = Omega_b^{-1}
-    u`` for ``u = 1/m``, summing to ``s / (2 sigma_b^2)``, ``s = p_b . u``,
-    as ``K 1 = 0``: ``p = p_b - sigma_b^2 K u / s``, ``sigma^2 = sigma_b^2
-    / s``, with no gate and no solve.  Raises StructureError unless
-    strongly connected, NumericError if ``s <= 0``.
+    Defined through the (generally asymmetric) directed resistance matrix;
+    agrees with the closed-form SCWB route whenever the graph happens to
+    be weight-balanced.
     """
-    if lap.weight_balanced:
-        return curvature_radius_scwb(lap)
-    balancing = weight_balance(lap)
-    kernel, _, _, p_b, sigma2_b = _closed_form(balancing.balanced)
-    u = 1.0 / balancing.m
-    s = float(p_b @ u)
-    if s <= 0.0:
-        raise NumericError("1^T Omega^{-1} 1 is not positive "
-                           f"(p_b . (1/m) = {s:.3e})")
-    ku = _centered_product(kernel, u)
-    return CurvatureRadius(p=p_b - (sigma2_b / s) * ku, sigma2=sigma2_b / s)
+    return _solved(resistance_matrix_sc(lap).omega, "resistance matrix")
 
 
 def wb_transform(cr: CurvatureRadius, m, omega) -> CurvatureRadius:

@@ -242,20 +242,20 @@ def _curvature_reduction(rng, suite):
 def _sc_curvature(rng, suite):
     n = suite.size(rng)
     balanced = gen.random_scwb_laplacian(n, rng)
+    a = cv.curvature_radius_sc(balanced)
+    b = cv.curvature_radius_scwb(balanced)
+    worst = max(np.abs(a.p - b.p).max(), abs(a.sigma2 - b.sigma2))
     lap = gen.random_sc_laplacian(n, rng)
-    worst = 0.0
-    for graph in (balanced, lap):  # closed form vs solve; lap's are reused
-        omega = rs.resistance_matrix_sc(graph)
-        a = cv.curvature_radius_sc(graph)
-        b = cv.subset_curvature_radius(omega, range(n))
-        worst = max(worst, np.abs(a.p - b.p).max(), abs(a.sigma2 - b.sigma2))
     wb = gr.weight_balance(lap)
-    transformed = cv.wb_transform(a, wb.m, omega)
+    omega = rs.resistance_matrix_sc(lap)
+    transformed = cv.wb_transform(cv.curvature_radius_sc(lap), wb.m, omega)
     target = cv.curvature_radius_scwb(wb.balanced)
     worst = max(worst, np.abs(transformed.p - target.p).max(),
                 abs(transformed.sigma2 - target.sigma2))
     back = cv.wb_transform(transformed, 1.0 / wb.m, omega)
-    return max(worst, np.abs(back.p - a.p).max(), abs(back.sigma2 - a.sigma2))
+    original = cv.curvature_radius_sc(lap)
+    return max(worst, np.abs(back.p - original.p).max(),
+               abs(back.sigma2 - original.sigma2))
 
 
 def _radius_subsets(rng, suite):

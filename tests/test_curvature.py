@@ -16,7 +16,12 @@ from resgeo.curvature import (
 )
 from resgeo.errors import NumericError, StructureError, ValidationError
 from resgeo.generators import random_class_q, random_scwb_laplacian
-from resgeo.graph import DirectedLaplacian, SignedLaplacianQ, weight_balance
+from resgeo.graph import (
+    DirectedLaplacian,
+    SignedLaplacianQ,
+    _shared_kernel,
+    weight_balance,
+)
 from resgeo.resistance import (
     resistance_matrix_q,
     resistance_matrix_sc,
@@ -218,36 +223,44 @@ def _log_uniform_weights(rng, size):
 @pytest.mark.parametrize("weights", [_uniform_weights, _log_uniform_weights],
                          ids=["uniform", "log_uniform"])
 @pytest.mark.parametrize("n", [2, 3, 12, 60])
-def test_sc_curvature_closed_form_matches_the_gated_solve(n, weights):
-    # The closed form from the balanced graph's K, p_b and sigma_b^2
-    # against p = Omega^{-1} 1 / s, sigma^2 = 1 / (2 s) on the directed
-    # resistance matrix, with weights on [1e-2, 1e2].  Log-uniform weights
-    # spread the balancing vector over decades, and kappa_2(Omega) reaches
-    # 4e10 on these draws; there the solve itself is only good to about
-    # eps * kappa_2(Omega), which bounds the agreement instead.
+def test_sc_curvature_matches_the_balanced_closed_form(n, weights):
+    # The gated solve p = Omega^{-1} 1 / s, sigma^2 = 1 / (2 s) against
+    # the balanced graph's closed form moved through the corollary
+    # Omega_b^{-1} = -K/2 + p_b p_b^T / (2 sigma_b^2) and Omega = diag(m)
+    # Omega_b: with u = 1/m and s = p_b . u, p = p_b - sigma_b^2 K u / s
+    # and sigma^2 = sigma_b^2 / s.  Log-uniform weights spread m over
+    # decades, and kappa_2(Omega) reaches 4e10 on these draws; there the
+    # solve is only good to about eps * kappa_2(Omega), which bounds the
+    # agreement instead of 1e-10.
     for seed in range(5):
         rng = np.random.default_rng([n, seed])
         lap = unbalanced_digraph(n, rng, extra_edges=n, weights=weights)
         assert lap.strongly_connected and not lap.weight_balanced
-        omega = resistance_matrix_sc(lap)
-        tol = max(1e-10, np.finfo(float).eps * np.linalg.cond(omega.omega))
-        closed = curvature_radius_sc(lap)
-        solved = subset_curvature_radius(omega, range(n))
-        assert np.abs(closed.p - solved.p).max() <= tol * np.abs(solved.p).max()
-        assert abs(closed.sigma2 - solved.sigma2) <= tol * solved.sigma2
+        wb = weight_balance(lap)
+        pair_b = curvature_radius_scwb(wb.balanced)
+        u = 1.0 / wb.m
+        s = pair_b.p @ u
+        ku = _shared_kernel(wb.balanced) @ (u - u.mean())
+        p = pair_b.p - pair_b.sigma2 / s * (ku - ku.mean())
+        sigma2 = pair_b.sigma2 / s
+        tol = max(1e-10, np.finfo(float).eps
+                  * np.linalg.cond(resistance_matrix_sc(lap).omega))
+        solved = curvature_radius_sc(lap)
+        assert np.abs(solved.p - p).max() <= tol * np.abs(p).max()
+        assert abs(solved.sigma2 - sigma2) <= tol * sigma2
 
 
-def test_sc_curvature_of_a_balanced_graph_is_the_scwb_pair():
+def test_sc_curvature_of_a_balanced_graph_matches_the_scwb_pair():
     lap = random_scwb_laplacian(9, np.random.default_rng(4))
     sc, scwb = curvature_radius_sc(lap), curvature_radius_scwb(lap)
-    assert np.array_equal(sc.p, scwb.p) and sc.sigma2 == scwb.sigma2
-    assert np.array_equal(sc.zeta, scwb.zeta)
+    assert np.abs(sc.p - scwb.p).max() <= 1e-10 * np.abs(scwb.p).max()
+    assert abs(sc.sigma2 - scwb.sigma2) <= 1e-10 * scwb.sigma2
 
 
 def test_sc_curvature_refuses_a_nonpositive_ones_form():
     # A strongly connected digraph whose 1^T Omega^{-1} 1 is negative
-    # (about -4.19, with kappa_2(Omega) about 3e4): the closed form's
-    # s = p_b . (1/m) has the same sign and is refused as the solve was.
+    # (about -4.19, with kappa_2(Omega) about 3e4) is not a resistance
+    # geometry, and the gated solve refuses it.
     adjacency = np.array([[0.0, 0.0, 0.0366, 0.0141],
                           [0.138, 0.0, 4.43, 0.0],
                           [0.0431, 0.0, 0.0, 92.8],
@@ -256,16 +269,16 @@ def test_sc_curvature_refuses_a_nonpositive_ones_form():
     omega = resistance_matrix_sc(lap).omega
     assert np.ones(4) @ np.linalg.solve(omega, np.ones(4)) < 0.0
     with pytest.raises(NumericError):
-        subset_curvature_radius(omega, range(4))
-    with pytest.raises(NumericError):
         curvature_radius_sc(lap)
 
 
-def test_kernel_that_lost_span_one_is_refused():
+def test_spread_balancing_refuses_the_kernel_and_keeps_the_sc_pair():
     # Balancing this digraph spreads m over 3.9e-10..25, and the balanced
     # graph's K = (L_s^+)^+ comes out with row sums about ten times its
     # largest entry.  The closed forms built on it must raise, not return
     # a pair that is off by order one (sigma_b^2 6.3e6 against 1.2e7).
+    # The gated solve on the directed Omega (kappa_2 1.6e11) needs no K:
+    # a 60-digit reference gives sigma^2 and the largest entry of p below.
     rng = np.random.default_rng([60, 1, 7])
     lap = unbalanced_digraph(60, rng, extra_edges=60,
                              weights=_log_uniform_weights)
@@ -273,9 +286,10 @@ def test_kernel_that_lost_span_one_is_refused():
     for derive in (curvature_radius_scwb, verify_fiedler_bapat, undirect):
         with pytest.raises(NumericError):
             derive(balanced)
-    with pytest.raises(NumericError):
-        curvature_radius_sc(lap)
     assert balanced._kernel is None
+    cr = curvature_radius_sc(lap)
+    assert abs(cr.sigma2 / 0.0175392872332831 - 1.0) <= 1e-5
+    assert abs(cr.p[0] / 1.8348606644550438 - 1.0) <= 1e-5
 
 
 @pytest.mark.parametrize("matrix", [

@@ -174,17 +174,9 @@ def test_unbalanced_object_balances_and_inverts_once(kernels):
     weight_balance(lap)
     resistance_matrix_sc(lap)
     curvature_radius_sc(lap)
-    # The SVD of L^T for the balancing, of the balanced L for L_s^+ and of
-    # the balanced L_s^+ for K; without the kept factorizations the three
-    # calls took five.  The curvature's closed form reads K, so the third
-    # SVD replaces the gated Omega solve it took before.
-    assert (kernels["svd"], kernels["eigh"]) == (3, 0)
-
-
-def test_sc_curvature_takes_no_gate_and_no_solve(kernels):
-    lap = DirectedLaplacian(SC20)
-    curvature_radius_sc(lap)
-    assert (kernels["cond"], kernels["solve"]) == (0, 0)
+    # The SVD of L^T for the balancing, then of the balanced L for L_s^+;
+    # without the kept factorizations the three calls took five.
+    assert (kernels["svd"], kernels["eigh"]) == (2, 0)
 
 
 def test_balanced_object_factors_once(kernels):

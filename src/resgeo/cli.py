@@ -12,6 +12,11 @@ Input files come in two formats, detected by the presence of commas:
   matrix (converted to a Laplacian via degrees minus adjacency), or taken
   verbatim with ``--as-laplacian``.
 
+:func:`load_graph` returns the library's own object, a
+:class:`~resgeo.graph.DirectedLaplacian` or a
+:class:`~resgeo.graph.SignedLaplacianQ`, and each subcommand branches on
+its type.
+
 Reports are JSON on stdout with reals at 17 significant digits; reruns on
 identical inputs are byte-identical.  Exit codes: 0 ok, 1 validation
 error, 2 numeric failure, 3 verification failure.
@@ -135,8 +140,9 @@ def _parse_edge_list(lines, path):
         edges.append((src - 1, dst - 1, weight))
     if not edges:
         raise ValidationError(f"{path}: no edges found")
+    edges = np.array(edges)
     if n is None:
-        n = 1 + max(max(s, d) for s, d, _ in edges)
+        n = 1 + int(edges[:, :2].max())
     try:
         return laplacian_from_edges(n, edges)
     except ValidationError as exc:
@@ -156,30 +162,10 @@ def _parse_matrix(lines, path):
     return np.array(rows)
 
 
-class LoadedGraph:
-    """Parsed input plus its classification.
-
-    ``kind`` is ``directed`` or ``class_q``; exactly one of ``lap`` / ``q``
-    is set.  Directed is preferred when both classes match (an unsigned
-    undirected Laplacian is a weight-balanced directed one).
-    """
-
-    def __init__(self, kind, lap=None, q=None):
-        self.kind = kind
-        self.lap = lap
-        self.q = q
-
-    @property
-    def n(self):
-        return self.lap.n if self.lap is not None else self.q.n
-
-    @property
-    def matrix(self):
-        return self.lap.matrix if self.lap is not None else self.q.matrix
-
-
 def load_graph(path, as_laplacian=False):
-    """Read an edge-list or CSV file and classify the Laplacian."""
+    """Read an edge-list or CSV file as a :class:`DirectedLaplacian` or, for
+    a ``--as-laplacian`` CSV that is not one, a :class:`SignedLaplacianQ`
+    (an unsigned undirected Laplacian is both and loads as directed)."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw_lines = fh.readlines()
@@ -208,18 +194,18 @@ def load_graph(path, as_laplacian=False):
                 )
             lap = -off
             np.fill_diagonal(lap, off.sum(axis=1))
-            return LoadedGraph("directed", lap=DirectedLaplacian(lap))
+            return DirectedLaplacian(lap)
         try:
-            return LoadedGraph("directed", lap=DirectedLaplacian(matrix))
+            return DirectedLaplacian(matrix)
         except ValidationError as directed_error:
             try:
-                return LoadedGraph("class_q", q=SignedLaplacianQ(matrix))
+                return SignedLaplacianQ(matrix)
             except ValidationError as signed_error:
                 raise ValidationError(
                     f"{path}: not a directed Laplacian ({directed_error}) "
                     f"and {signed_error}"
                 ) from directed_error
-    return LoadedGraph("directed", lap=_parse_edge_list(lines, path))
+    return _parse_edge_list(lines, path)
 
 
 def _parse_keep(text, n):
@@ -235,26 +221,25 @@ def _parse_keep(text, n):
 
 
 def _cmd_check(args):
-    loaded = load_graph(args.input, args.as_laplacian)
-    matrix = loaded.matrix
-    sym = (matrix + matrix.T) / 2.0
-    spectrum = sym_eig(sym).values
+    g = load_graph(args.input, args.as_laplacian)
+    directed = isinstance(g, DirectedLaplacian)
+    matrix = g.matrix
+    # Q is exactly symmetric, so its kept eigh is that of (Q + Q^T) / 2.
+    spectrum = (sym_eig((matrix + matrix.T) / 2.0).values if directed
+                else g.eig.values)
     report_q = validate_class_q(matrix, tol=args.tol)
     outputs = {
-        "n": loaded.n,
-        "input_kind": loaded.kind,
-        "strongly_connected": (loaded.lap.strongly_connected
-                               if loaded.lap is not None else None),
-        "weight_balanced": (loaded.lap.weight_balanced
-                            if loaded.lap is not None else None),
+        "n": g.n,
+        "input_kind": "directed" if directed else "class_q",
+        "strongly_connected": g.strongly_connected if directed else None,
+        "weight_balanced": g.weight_balanced if directed else None,
         "class_q": {"ok": report_q.ok, "failure": report_q.failure,
                     "details": report_q.details},
         "symmetric_spectrum": spectrum,
     }
     residuals = {"row_sum_max": float(np.abs(matrix.sum(axis=1)).max())}
-    if loaded.lap is not None and loaded.lap.strongly_connected \
-            and loaded.lap.weight_balanced:
-        shift = pinv_via_shift(loaded.lap, gamma=args.gamma)
+    if directed and g.strongly_connected and g.weight_balanced:
+        shift = pinv_via_shift(g, gamma=args.gamma)
         residuals["shifted_pinv"] = float(
             np.abs(shift - pseudoinverse(matrix)).max()
         )
@@ -262,10 +247,10 @@ def _cmd_check(args):
 
 
 def _cmd_kron(args):
-    loaded = load_graph(args.input, args.as_laplacian)
-    keep = _parse_keep(args.keep, loaded.n)
-    if loaded.kind == "directed":
-        result = kron_reduce(loaded.lap, keep)
+    g = load_graph(args.input, args.as_laplacian)
+    keep = _parse_keep(args.keep, g.n)
+    if isinstance(g, DirectedLaplacian):
+        result = kron_reduce(g, keep)
         outputs = {
             "reduced": result.reduced.matrix,
             "kept": [int(i) + 1 for i in result.kept],
@@ -277,15 +262,15 @@ def _cmd_kron(args):
             },
         }
         residuals = {}
-        if loaded.lap.strongly_connected:
-            before = resistance_matrix_sc(loaded.lap).omega
+        if g.strongly_connected:
+            before = resistance_matrix_sc(g).omega
             after = resistance_matrix_sc(result.reduced).omega
             residuals["resistance_invariance"] = float(
                 np.abs(before[np.ix_(keep, keep)] - after).max()
             )
     else:
-        reduced = kron_reduce_q(loaded.q, keep)
-        before = resistance_matrix_q(loaded.q).omega
+        reduced = kron_reduce_q(g, keep)
+        before = resistance_matrix_q(g).omega
         after = resistance_matrix_q(reduced).omega
         outputs = {
             "reduced": reduced.matrix,
@@ -299,11 +284,11 @@ def _cmd_kron(args):
 
 
 def _cmd_resistance(args):
-    loaded = load_graph(args.input, args.as_laplacian)
-    if loaded.kind == "directed":
-        rm = resistance_matrix_sc(loaded.lap)
+    g = load_graph(args.input, args.as_laplacian)
+    if isinstance(g, DirectedLaplacian):
+        rm = resistance_matrix_sc(g)
     else:
-        rm = resistance_matrix_q(loaded.q)
+        rm = resistance_matrix_q(g)
     sig = inertia(rm.omega) if rm.kind != "directed_sc" else None
     outputs = {
         "kind": rm.kind,
@@ -316,18 +301,17 @@ def _cmd_resistance(args):
 
 
 def _cmd_curvature(args):
-    loaded = load_graph(args.input, args.as_laplacian)
+    g = load_graph(args.input, args.as_laplacian)
     fb = None
-    if loaded.kind == "directed":
-        lap = loaded.lap
-        if lap.strongly_connected and lap.weight_balanced:
-            cr = curvature_radius_scwb(lap)
-            fb = verify_fiedler_bapat(lap)
+    if isinstance(g, DirectedLaplacian):
+        if g.strongly_connected and g.weight_balanced:
+            cr = curvature_radius_scwb(g)
+            fb = verify_fiedler_bapat(g)
         else:
-            cr = curvature_radius_sc(lap)
+            cr = curvature_radius_sc(g)
     else:
-        cr = curvature_radius_q(loaded.q)
-        fb = verify_fiedler_bapat(loaded.q)
+        cr = curvature_radius_q(g)
+        fb = verify_fiedler_bapat(g)
     outputs = {
         "p": cr.p,
         "sigma2": cr.sigma2,
@@ -340,21 +324,18 @@ def _cmd_curvature(args):
 
 
 def _cmd_maxvar(args):
-    loaded = load_graph(args.input, args.as_laplacian)
-    if loaded.kind == "directed":
-        lap = loaded.lap
-        if not (lap.strongly_connected and lap.weight_balanced):
+    g = load_graph(args.input, args.as_laplacian)
+    if isinstance(g, DirectedLaplacian):
+        if not (g.strongly_connected and g.weight_balanced):
             raise ValidationError(
                 "variance maximization needs a symmetric resistance matrix; "
                 "input must be weight-balanced (or a signed Laplacian)"
             )
-        omega = resistance_matrix_scwb(lap)
-        source = lap
+        omega = resistance_matrix_scwb(g)
     else:
-        omega = resistance_matrix_q(loaded.q)
-        source = loaded.q
+        omega = resistance_matrix_q(g)
     solution = solve_maxvar(omega, tol=args.tol)
-    report = characterize(solution, source)
+    report = characterize(solution, g)
     outputs = {
         "f": solution.f,
         "support": [int(i) + 1 for i in solution.support],
@@ -370,11 +351,8 @@ def _cmd_maxvar(args):
 
 
 def _cmd_embed(args):
-    loaded = load_graph(args.input, args.as_laplacian)
-    if loaded.kind == "directed":
-        q = undirect(loaded.lap)
-    else:
-        q = loaded.q
+    g = load_graph(args.input, args.as_laplacian)
+    q = undirect(g) if isinstance(g, DirectedLaplacian) else g
     emb = embed(q)
     geo = simplex_geometry(q, emb)
     angles = verify_angles_geometric(q, emb)
@@ -398,12 +376,12 @@ def _cmd_embed(args):
 
 
 def _cmd_balance(args):
-    loaded = load_graph(args.input, args.as_laplacian)
-    if loaded.kind != "directed":
+    g = load_graph(args.input, args.as_laplacian)
+    if not isinstance(g, DirectedLaplacian):
         raise ValidationError("balance applies to directed Laplacians")
-    wb = weight_balance(loaded.lap)
-    omega = resistance_matrix_sc(loaded.lap)
-    before = curvature_radius_sc(loaded.lap)
+    wb = weight_balance(g)
+    omega = resistance_matrix_sc(g)
+    before = curvature_radius_sc(g)
     transported = wb_transform(before, wb.m, omega)
     direct = curvature_radius_scwb(wb.balanced)
     outputs = {

@@ -275,30 +275,42 @@ def validate_class_q(matrix, tol=STRUCTURAL_TOL):
 def laplacian_from_edges(n, edges):
     """Build a :class:`DirectedLaplacian` from ``(src, dst, weight)`` triples.
 
-    Node indices are 0-based.  Duplicate edges accumulate their weights.
+    ``edges`` is any ``(m, 3)`` array-like.  Endpoints are 0-based node
+    indices and must be integers (``2.0`` is one).  Duplicate edges
+    accumulate their weights in the order given.
 
     Raises
     ------
     ValidationError
-        On out-of-range endpoints, self-loops, or nonpositive weights; the
-        message names the offending entry.
+        On edges that are not triples, non-integer or out-of-range
+        endpoints, self-loops, or nonpositive weights.  The message names
+        the first offending edge and the first of these checks it fails.
     """
     if n < 1:
         raise ValidationError("node count must be at least 1")
+    e = np.asarray(edges, dtype=float)
+    if e.size and e.shape[1:] != (3,):
+        raise ValidationError(f"edges must be (src, dst, weight) triples, got shape {e.shape}")
+    e = e.reshape(-1, 3)
+    ends, weight = e[:, :2], e[:, 2]
+    integral = (np.isfinite(ends) & (ends == np.floor(ends))).all(axis=1)
+    inside = integral & ((ends >= 0) & (ends < n)).all(axis=1)
+    loop = inside & (ends[:, 0] == ends[:, 1])
+    bad = ~inside | loop | ~(weight > 0.0)
+    if bad.any():
+        k = int(np.argmax(bad))
+        src, dst, w = e[k].tolist()
+        if not integral[k]:
+            raise ValidationError(f"edge {k}: endpoints ({src!r}, {dst!r}) must be integers")
+        if not inside[k]:
+            raise ValidationError(f"edge {k}: endpoints ({int(src)}, {int(dst)}) outside [0, {n - 1}]")
+        if loop[k]:
+            raise ValidationError(f"edge {k}: self-loop at node {int(src)}")
+        raise ValidationError(f"edge {k}: weight {w} must be positive")
     adjacency = np.zeros((n, n))
-    for k, (src, dst, weight) in enumerate(edges):
-        src, dst, weight = int(src), int(dst), float(weight)
-        if not (0 <= src < n and 0 <= dst < n):
-            raise ValidationError(
-                f"edge {k}: endpoints ({src}, {dst}) outside [0, {n - 1}]"
-            )
-        if src == dst:
-            raise ValidationError(f"edge {k}: self-loop at node {src}")
-        if not weight > 0.0:
-            raise ValidationError(
-                f"edge {k}: weight {weight} must be positive"
-            )
-        adjacency[src, dst] += weight
+    # add.at applies repeated (src, dst) pairs one after another, so
+    # duplicate edges sum in the order given, as a loop of += would.
+    np.add.at(adjacency, tuple(ends.T.astype(int)), weight)
     lap = -adjacency
     np.fill_diagonal(lap, adjacency.sum(axis=1))
     return DirectedLaplacian(lap)
@@ -360,14 +372,13 @@ def _balance(lap):
     if n == 1:
         m = np.ones(1)
         return WeightBalancing(m=m, balanced=lap)
-    d = svd(lap.matrix.T)
-    smax = d.s[0]
-    if smax > 0 and d.s[-2] <= STRUCTURAL_TOL * smax:
+    _, s, v = svd(lap.matrix.T)
+    if s[0] > 0 and s[-2] <= STRUCTURAL_TOL * s[0]:
         raise NumericError(
             "left null space of the Laplacian is not one-dimensional "
-            f"(second-smallest singular value {d.s[-2]:.3e})"
+            f"(second-smallest singular value {s[-2]:.3e})"
         )
-    null = d.v[:, -1]
+    null = v[:, -1]
     if null.sum() < 0:
         null = -null
     if null.min() <= 1e-12 * null.max():

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericError, StructureError
+from .errors import NumericError, StructureError, ValidationError
 from .graph import (
     DirectedLaplacian,
     SignedLaplacianQ,
@@ -69,6 +69,9 @@ def kron_reduce(lap: DirectedLaplacian, keep) -> KronResult:
         lists the unreachable nodes.
     DegenerateBlockError
         If the eliminated block is numerically singular anyway.
+    NumericError
+        If the reduced matrix fails the checks of :class:`DirectedLaplacian`;
+        for a valid input that is a numerical breakdown.
     """
     kept = normalize_indices(keep, lap.n, min_size=2)
     unreachable = np.flatnonzero(~_reached(lap.matrix.T, kept)).tolist()
@@ -89,7 +92,11 @@ def kron_reduce(lap: DirectedLaplacian, keep) -> KronResult:
     clamped = raw.copy()
     mask = (off > 0.0) & (off <= 1e-12 * scale)
     clamped[mask] = 0.0
-    reduced = DirectedLaplacian(clamped)
+    try:
+        reduced = DirectedLaplacian(clamped)
+    except ValidationError as exc:
+        raise NumericError(f"Kron reduction left the directed-Laplacian "
+                           f"class ({exc}): a numerical breakdown") from exc
     flags = PreservedFlags(
         row_sums_zero=row_sums_zero,
         offdiag_nonpos=offdiag_nonpos,

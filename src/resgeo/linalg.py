@@ -5,9 +5,12 @@ matrices) is built on the small set of operations here.  The conventions
 that the rest of the package relies on:
 
 * eigenvalues and singular values are returned in descending order;
-* eigenvectors / singular vectors get a deterministic sign (the first
-  component of significant magnitude is made positive), so repeated runs
-  produce byte-identical results;
+* eigenvectors get a deterministic sign (the first component of
+  significant magnitude is made positive), because ``embed`` coordinates
+  and ``classify_metric`` witnesses are outputs.  Singular vectors keep
+  LAPACK's signs: the pseudoinverse sums products ``v_k u_k^T``, which a
+  joint flip of ``u_k`` and ``v_k`` leaves exact, and the balancing
+  re-signs its null vector to a positive sum;
 * pseudoinverse rank cuts use the relative tolerance
   ``max(m, n) * eps * sigma_max`` unless the caller overrides it;
 * pseudoinverses take one of two routes.  A symmetric matrix (``L_s^+``,
@@ -59,13 +62,12 @@ def as_square(a, name="matrix"):
     return m
 
 
-def _fix_signs(vectors, reference=None):
+def _fix_signs(vectors):
     """Flip column signs in place so each column's leading entry is positive.
 
     The leading entry is the first one whose magnitude is significant
-    relative to the column's largest entry; columns of a second matrix
-    (`reference`) are flipped jointly so that factorizations stay valid.
-    An all-zero column is left as it is.
+    relative to the column's largest entry.  An all-zero column is left as
+    it is.
     """
     if vectors.size == 0:
         return vectors
@@ -73,8 +75,6 @@ def _fix_signs(vectors, reference=None):
     lead = np.argmax(mags > 1e-8 * mags.max(axis=0), axis=0)
     flip = vectors[lead, np.arange(vectors.shape[1])] < 0
     np.negative(vectors, out=vectors, where=flip)
-    if reference is not None:
-        np.negative(reference, out=reference, where=flip)
     return vectors
 
 
@@ -95,15 +95,6 @@ class SymEig:
         v = self.vectors[:, keep]
         p = (v / w[keep]) @ v.T
         return (p + p.T) / 2.0
-
-
-@dataclass(frozen=True)
-class Svd:
-    """Thin SVD ``a = u @ diag(s) @ v.T`` with singular values descending."""
-
-    u: np.ndarray
-    s: np.ndarray
-    v: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -144,16 +135,15 @@ def sym_eig(a, tol=1e-9):
 
 
 def svd(a):
-    """Thin SVD with descending singular values and deterministic signs."""
+    """Thin SVD ``a = u @ diag(s) @ v.T`` as ``(u, s, v)``, singular values
+    descending.  The signs of the singular vectors are LAPACK's; a failure
+    to converge raises :class:`NumericError`."""
     m = as_matrix(a)
     try:
         u, s, vt = np.linalg.svd(m, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"SVD failed to converge: {exc}") from exc
-    v = np.ascontiguousarray(vt.T)
-    u = np.ascontiguousarray(u)
-    _fix_signs(u, reference=v)
-    return Svd(u=u, s=s, v=v)
+    return np.ascontiguousarray(u), s, np.ascontiguousarray(vt.T)
 
 
 def default_rank_tol(shape):
@@ -168,16 +158,12 @@ def pseudoinverse(a, rank_tol=None):
     zero.  ``rank_tol`` defaults to ``max(m, n) * eps``.
     """
     m = as_matrix(a)
-    d = svd(m)
+    u, s, v = svd(m)
     if rank_tol is None:
         rank_tol = default_rank_tol(m.shape)
-    if d.s.size == 0:
-        return np.zeros((d.v.shape[0], d.u.shape[0]))
-    cutoff = rank_tol * d.s[0]
-    keep = d.s > cutoff
-    if not np.any(keep):
-        return np.zeros((d.v.shape[0], d.u.shape[0]))
-    return (d.v[:, keep] / d.s[keep]) @ d.u[:, keep].T
+    # With nothing kept the product has inner dimension 0 and is all zeros.
+    keep = s > rank_tol * s.max(initial=0.0)
+    return (v[:, keep] / s[keep]) @ u[:, keep].T
 
 
 def schur_complement(a, keep, cond_limit=COND_LIMIT):

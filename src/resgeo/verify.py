@@ -78,11 +78,24 @@ def _schur_routes(rng, suite):
     return np.abs(block - seq).max()
 
 
+def _orthogonal(rng, n):
+    return np.linalg.qr(rng.normal(size=(n, n)))[0]
+
+
 def _inertia_congruence(rng, suite):
+    """Sylvester's law of inertia: ``C^T S C`` has the signature of ``S``.
+
+    ``S = V diag(l) V^T`` has each ``|l_i|`` in [1, 2] or 0, and ``C`` has
+    singular values in [1, 10].  By Ostrowski's theorem the eigenvalues of
+    ``C^T S C`` are ``theta_i l_i`` with ``theta_i`` in [1, 100], so a
+    nonzero one is at least 1/200 of the largest, far above ``inertia``'s
+    1e-9 zero cut.  An unbounded ``C`` keeps no such margin.
+    """
     n = suite.size(rng)
-    s = rng.normal(size=(n, n))
+    v = _orthogonal(rng, n)
+    s = (v * (rng.uniform(1.0, 2.0, n) * rng.choice([-1.0, 0.0, 1.0], n))) @ v.T
     s = (s + s.T) / 2.0
-    c = rng.normal(size=(n, n)) + 2.0 * np.eye(n)
+    c = (_orthogonal(rng, n) * rng.uniform(1.0, 10.0, n)) @ _orthogonal(rng, n).T
     a = la.inertia(s)
     b = la.inertia(c.T @ s @ c)
     return 0.0 if (a.positive, a.negative, a.zero) == (b.positive, b.negative, b.zero) else 1.0

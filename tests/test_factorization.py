@@ -14,8 +14,8 @@ eliminated block of a Kron reduction is a Z-matrix and takes two
 ``solve`` and no ``cond``: its ones-solutions certify it as an M-matrix
 and give the bound ``sqrt(kappa_1 kappa_inf)`` on its condition number.
 
-The sign convention of ``sym_eig`` and ``svd`` is checked bit for bit
-against a per-column reference loop kept here.
+The sign convention of ``sym_eig`` is checked bit for bit against a
+per-column reference loop kept here.
 """
 
 from collections import Counter
@@ -23,7 +23,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from resgeo.cli import load_graph
+from resgeo.cli import load_graph, main
 from resgeo.curvature import (
     check_commutativity,
     curvature_radius_q,
@@ -50,7 +50,7 @@ from resgeo.graph import (
     weight_balance,
 )
 from resgeo.kron import kron_reduce
-from resgeo.linalg import _fix_signs, centering_projector, svd, sym_eig
+from resgeo.linalg import _fix_signs, centering_projector, sym_eig
 from resgeo.maxvar import characterize, solve_maxvar
 from resgeo.resistance import (
     classify_metric,
@@ -80,13 +80,26 @@ def test_construction_takes_one_eigh(kernels):
     assert (kernels["svd"], kernels["eigh"]) == (0, 1)
 
 
-def test_cli_loads_a_signed_csv_with_one_eigh(kernels, tmp_path):
+@pytest.fixture
+def q30_csv(tmp_path):
     path = tmp_path / "q.csv"
     path.write_text("\n".join(",".join(format(v, ".17g") for v in row)
                               for row in Q30.matrix) + "\n")
-    loaded = load_graph(str(path), as_laplacian=True)
-    assert loaded.kind == "class_q"
+    return str(path)
+
+
+def test_cli_loads_a_signed_csv_with_one_eigh(kernels, q30_csv):
+    assert isinstance(load_graph(q30_csv, as_laplacian=True), SignedLaplacianQ)
     assert (kernels["svd"], kernels["eigh"]) == (0, 1)
+
+
+def test_cli_check_reads_the_spectrum_of_a_signed_csv_off_its_eigh(
+        kernels, q30_csv, capsys):
+    # One eigh to load Q and two in validate_class_q; the symmetric
+    # spectrum is the loaded object's eigenvalues, not a fourth eigh.
+    assert main(["check", q30_csv, "--as-laplacian"]) == 0
+    capsys.readouterr()
+    assert (kernels["svd"], kernels["eigh"]) == (0, 3)
 
 
 def test_validated_and_constructed_q_agree_bit_for_bit():
@@ -238,7 +251,7 @@ def test_commutativity_gates_its_kernel_block_by_svd(kernels):
     assert (kernels["cond"], kernels["solve"]) == (1, 3)
 
 
-def _reference_signs(vectors, reference=None):
+def _reference_signs(vectors):
     """The sign convention one column at a time: the first entry above
     1e-8 of the column's peak magnitude is made positive."""
     for k in range(vectors.shape[1]):
@@ -249,8 +262,6 @@ def _reference_signs(vectors, reference=None):
         lead = np.flatnonzero(np.abs(col) > 1e-8 * peak)[0]
         if col[lead] < 0:
             vectors[:, k] = -col
-            if reference is not None:
-                reference[:, k] = -reference[:, k]
     return vectors
 
 
@@ -276,19 +287,6 @@ def test_sym_eig_signs_match_the_column_loop(name):
     assert _same_bits(eig.vectors, expected)
 
 
-@pytest.mark.parametrize("shape", [(7, 4), (4, 7), (20, 20), (0, 3)])
-def test_svd_signs_match_the_column_loop(shape):
-    m = (SC20 if shape == (20, 20)
-         else np.random.default_rng(shape[0]).normal(size=shape))
-    u, s, vt = np.linalg.svd(m, full_matrices=False)
-    v = np.ascontiguousarray(vt.T)
-    u = _reference_signs(np.ascontiguousarray(u), reference=v)
-    d = svd(m)
-    assert _same_bits(d.s, s)
-    assert _same_bits(d.u, u)
-    assert _same_bits(d.v, v)
-
-
 SIGN_CASES = {
     # A zero column (one of them -0.0) is left alone.
     "zero_column": np.array([[0.0, -1.0, -0.0], [0.0, 2.0, -0.0]]),
@@ -301,21 +299,10 @@ SIGN_CASES = {
 
 
 @pytest.mark.parametrize("name", sorted(SIGN_CASES))
-@pytest.mark.parametrize("joint", [False, True], ids=["alone", "joint"])
-def test_fix_signs_matches_the_column_loop(name, joint):
-    vectors = SIGN_CASES[name]
-    reference = (np.arange(4.0 * vectors.shape[1]).reshape(4, -1) - 5.0
-                 if joint else None)
-    got = vectors.copy()
-    got_ref = None if reference is None else reference.copy()
-    expected = vectors.copy()
-    expected_ref = None if reference is None else reference.copy()
-    assert _fix_signs(got, got_ref) is got
-    _reference_signs(expected, expected_ref)
-    assert _same_bits(got, expected)
-    if joint:
-        assert _same_bits(got_ref, expected_ref)
-        assert not _same_bits(got_ref, reference)
+def test_fix_signs_matches_the_column_loop(name):
+    got = SIGN_CASES[name].copy()
+    assert _fix_signs(got) is got
+    assert _same_bits(got, _reference_signs(SIGN_CASES[name].copy()))
 
 
 def _leaves(value):

@@ -74,19 +74,90 @@ def test_matrix_is_write_locked():
         lap.matrix[0, 0] = 0.0
 
 
+def _edges_by_loop(n, edges):
+    """The edge builder one edge at a time: the reference that the array
+    checks and the accumulation of ``laplacian_from_edges`` must match."""
+    adjacency = np.zeros((n, n))
+    for k, (src, dst, weight) in enumerate(edges):
+        src, dst, weight = int(src), int(dst), float(weight)
+        if not (0 <= src < n and 0 <= dst < n):
+            raise ValidationError(
+                f"edge {k}: endpoints ({src}, {dst}) outside [0, {n - 1}]"
+            )
+        if src == dst:
+            raise ValidationError(f"edge {k}: self-loop at node {src}")
+        if not weight > 0.0:
+            raise ValidationError(
+                f"edge {k}: weight {weight} must be positive"
+            )
+        adjacency[src, dst] += weight
+    lap = -adjacency
+    np.fill_diagonal(lap, adjacency.sum(axis=1))
+    return lap
+
+
 def test_from_edges_accumulates_duplicates():
     lap = laplacian_from_edges(2, [(0, 1, 1.0), (0, 1, 2.0), (1, 0, 1.0)])
     assert lap.matrix[0, 1] == -3.0
     assert lap.matrix[0, 0] == 3.0
 
 
+def test_duplicate_edges_sum_like_the_loop_bit_for_bit():
+    # 400 edges over 4 nodes, weights over eight decades: every pair is
+    # hit many times, so the order of the sums shows in the last bits.
+    rng = np.random.default_rng(5)
+    ends = rng.integers(0, 4, size=(400, 2))
+    ends = ends[ends[:, 0] != ends[:, 1]]
+    edges = [(int(s), int(d), 10.0 ** rng.uniform(-4, 4)) for s, d in ends]
+    got = laplacian_from_edges(4, edges).matrix
+    assert got.tobytes() == _edges_by_loop(4, edges).tobytes()
+
+
+MALFORMED_EDGES = {
+    "dst_out_of_range": (2, [(0, 5, 1.0)]),
+    "src_negative": (3, [(0, 1, 1.0), (-1, 2, 1.0)]),
+    "self_loop": (2, [(0, 1, 1.0), (1, 1, 1.0)]),
+    "zero_weight": (2, [(0, 1, 0.0)]),
+    "negative_zero_weight": (2, [(1, 0, -0.0)]),
+    "negative_weight": (2, [(0, 1, 1.0), (0, 1, -2.0)]),
+    "nan_weight": (3, [(0, 1, 1.0), (1, 2, float("nan"))]),
+    # several bad edges: the first one is reported, by its first failed
+    # check in the order range, self-loop, weight
+    "range_before_loop": (3, [(0, 1, 1.0), (4, 4, 1.0), (0, 0, 1.0)]),
+    "range_before_weight": (3, [(1, 7, -1.0), (0, 0, 1.0)]),
+    "loop_before_weight": (3, [(2, 2, 0.0), (0, 9, 1.0)]),
+    "weight_before_later_range": (3, [(0, 1, -3.5), (0, 9, 1.0)]),
+}
+
+
 def test_from_edges_rejects_bad_entries():
-    with pytest.raises(ValidationError, match="edge 0"):
-        laplacian_from_edges(2, [(0, 0, 1.0)])
-    with pytest.raises(ValidationError, match="edge 1"):
-        laplacian_from_edges(2, [(0, 1, 1.0), (0, 1, -2.0)])
-    with pytest.raises(ValidationError):
-        laplacian_from_edges(2, [(0, 5, 1.0)])
+    for name, (n, edges) in MALFORMED_EDGES.items():
+        with pytest.raises(ValidationError) as expected:
+            _edges_by_loop(n, edges)
+        for given in (edges, np.array(edges)):
+            with pytest.raises(ValidationError) as got:
+                laplacian_from_edges(n, given)
+            assert str(got.value) == str(expected.value), name
+
+
+@pytest.mark.parametrize("edges", [
+    [(0, 1, 1.0), (0.5, 1, 1.0)],
+    [(0, 1.25, 1.0)],
+    [(float("nan"), 1, 1.0)],
+    [(0, float("inf"), 1.0)],
+])
+def test_from_edges_rejects_non_integer_endpoints(edges):
+    # int() used to truncate 0.5 to node 0 and build a graph
+    with pytest.raises(ValidationError, match="must be integers"):
+        laplacian_from_edges(2, edges)
+
+
+def test_from_edges_takes_integral_floats_and_no_edges():
+    assert np.array_equal(laplacian_from_edges(2, [(0.0, 1.0, 2.0)]).matrix,
+                          [[2.0, -2.0], [0.0, 0.0]])
+    assert np.array_equal(laplacian_from_edges(2, []).matrix, np.zeros((2, 2)))
+    with pytest.raises(ValidationError, match="triples"):
+        laplacian_from_edges(2, [(0, 1)])
 
 
 def test_weight_balance_two_node():

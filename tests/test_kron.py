@@ -1,7 +1,15 @@
+import json
+
 import numpy as np
 import pytest
 
-from resgeo.errors import DegenerateBlockError, StructureError, ValidationError
+from resgeo.cli import EXIT_NUMERIC, main
+from resgeo.errors import (
+    DegenerateBlockError,
+    NumericError,
+    StructureError,
+    ValidationError,
+)
 from resgeo.generators import random_class_q, random_keep, random_scwb_laplacian
 from resgeo.graph import DirectedLaplacian, laplacian_from_edges
 from resgeo.kron import kron_reduce, kron_reduce_q
@@ -86,6 +94,41 @@ def test_near_singular_elimination_is_refused():
         effective_resistance_directed(lap, 4, 5)
     # The same graph with a unit leak reduces.
     assert kron_reduce(_leaky_cycle(1.0), [4, 5]).preserved.row_sums_zero
+
+
+def _spread_weight_draw(seed):
+    """A Hamiltonian cycle plus 2n random edges on n in [6, 60) nodes, with
+    weights 10^U(-4, 4), and a random third of the nodes to keep."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(6, 60))
+    adjacency = np.zeros((n, n))
+    order = rng.permutation(n)
+    adjacency[order, np.roll(order, -1)] = 1.0
+    for _ in range(2 * n):
+        i, j = rng.integers(0, n, 2)
+        if i != j:
+            adjacency[i, j] = 1.0
+    adjacency *= 10.0 ** rng.uniform(-4, 4, size=(n, n))
+    keep = np.sort(rng.choice(n, size=max(2, n // 3), replace=False))
+    return adjacency, keep
+
+
+def test_breakdown_of_the_reduced_laplacian_is_numeric(tmp_path, capsys):
+    # n = 8, keeping 2 nodes: the Schur complement's rows sum to 6.9e-8 of
+    # its scale, past DirectedLaplacian's 1e-12.  The input is valid, so
+    # this is a numerical breakdown (CLI exit 2), not a validation error.
+    adjacency, keep = _spread_weight_draw(157)
+    lap = -adjacency
+    np.fill_diagonal(lap, adjacency.sum(axis=1))
+    with pytest.raises(NumericError, match="Kron reduction"):
+        kron_reduce(DirectedLaplacian(lap), keep)
+    path = tmp_path / "spread.edges"
+    path.write_text("".join(f"{i + 1} {j + 1} {adjacency[i, j]:.17g}\n"
+                            for i, j in zip(*np.nonzero(adjacency))))
+    code = main(["kron", str(path), "--keep", ",".join(str(k + 1) for k in keep)])
+    report = json.loads(capsys.readouterr().out)
+    assert code == EXIT_NUMERIC
+    assert report["error"]["type"] == "NumericError"
 
 
 def test_keep_needs_two_nodes():

@@ -125,8 +125,8 @@ def test_sym_eig_rejects_asymmetric():
 
 def test_svd_reconstruction():
     a = random_matrix(5, (4, 6))
-    d = svd(a)
-    assert np.abs(d.u @ np.diag(d.s) @ d.v.T - a).max() < 1e-10
+    u, s, v = svd(a)
+    assert np.abs(u @ np.diag(s) @ v.T - a).max() < 1e-10
 
 
 def test_schur_complement_reproduces_inverse_block():

@@ -83,3 +83,12 @@ def test_embedding_circumcenter_passes_on_ill_conditioned_suites(seed):
     # on them (1.7e-8 and 5.6e-8), the closed form does not.
     for r in run_verification(seed, 10, 12):
         assert r.passed, f"{r.name}: {r.max_residual} > {r.threshold}"
+
+
+@pytest.mark.parametrize("seed", [115, 534926514])
+def test_inertia_congruence_passes_on_the_suites_it_failed(seed):
+    # Their congruences, drawn as N + 2I, were conditioned badly enough
+    # (cond 6.8e4 in suite 115) to push a nonzero eigenvalue of C^T S C
+    # under inertia's 1e-9 relative zero cut.
+    for r in run_verification(seed, 10, 12):
+        assert r.passed, f"{r.name}: {r.max_residual} > {r.threshold}"

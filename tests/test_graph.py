@@ -116,6 +116,7 @@ def test_duplicate_edges_sum_like_the_loop_bit_for_bit():
 MALFORMED_EDGES = {
     "dst_out_of_range": (2, [(0, 5, 1.0)]),
     "src_negative": (3, [(0, 1, 1.0), (-1, 2, 1.0)]),
+    "self_loop_first": (2, [(0, 0, 1.0)]),
     "self_loop": (2, [(0, 1, 1.0), (1, 1, 1.0)]),
     "zero_weight": (2, [(0, 1, 0.0)]),
     "negative_zero_weight": (2, [(1, 0, -0.0)]),

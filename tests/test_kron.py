@@ -118,13 +118,11 @@ def test_breakdown_of_the_reduced_laplacian_is_numeric(tmp_path, capsys):
     # its scale, past DirectedLaplacian's 1e-12.  The input is valid, so
     # this is a numerical breakdown (CLI exit 2), not a validation error.
     adjacency, keep = _spread_weight_draw(157)
-    lap = -adjacency
-    np.fill_diagonal(lap, adjacency.sum(axis=1))
+    edges = [(i, j, adjacency[i, j]) for i, j in zip(*np.nonzero(adjacency))]
     with pytest.raises(NumericError, match="Kron reduction"):
-        kron_reduce(DirectedLaplacian(lap), keep)
+        kron_reduce(laplacian_from_edges(len(adjacency), edges), keep)
     path = tmp_path / "spread.edges"
-    path.write_text("".join(f"{i + 1} {j + 1} {adjacency[i, j]:.17g}\n"
-                            for i, j in zip(*np.nonzero(adjacency))))
+    path.write_text("".join(f"{i + 1} {j + 1} {w:.17g}\n" for i, j, w in edges))
     code = main(["kron", str(path), "--keep", ",".join(str(k + 1) for k in keep)])
     report = json.loads(capsys.readouterr().out)
     assert code == EXIT_NUMERIC

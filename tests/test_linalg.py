@@ -118,6 +118,15 @@ def test_sym_eig_sign_convention_deterministic():
         assert lead > 0
 
 
+@pytest.mark.parametrize("shape", [(2, 3), (0, 3), (3, 0)])
+def test_pseudoinverse_of_zero_or_empty_is_zero_transposed(shape):
+    # Nothing passes the rank cut: the product over no columns is all
+    # zeros, shaped like the transpose.
+    p = pseudoinverse(np.zeros(shape))
+    assert p.shape == shape[::-1]
+    assert not np.any(p) and not np.signbit(p).any()
+
+
 def test_sym_eig_rejects_asymmetric():
     with pytest.raises(ValidationError):
         sym_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))

@@ -41,8 +41,8 @@ from .curvature import (
 from .embed import embed, export_coordinates, simplex_geometry, verify_angles_geometric
 from .errors import ResgeoError, ValidationError
 from .graph import (
-    STRUCTURAL_TOL,
     DirectedLaplacian,
+    EdgeError,
     SignedLaplacianQ,
     laplacian_from_edges,
     pinv_via_shift,
@@ -117,6 +117,7 @@ def _emit(report):
 def _parse_edge_list(lines, path):
     n = None
     edges = []
+    edge_lines = []
     for lineno, raw in lines:
         tokens = raw.split()
         if tokens[0] == "n":
@@ -138,6 +139,7 @@ def _parse_edge_list(lines, path):
         if src < 1 or dst < 1:
             raise ValidationError(f"{path}:{lineno}: node ids are 1-based")
         edges.append((src - 1, dst - 1, weight))
+        edge_lines.append(lineno)
     if not edges:
         raise ValidationError(f"{path}: no edges found")
     edges = np.array(edges)
@@ -145,6 +147,9 @@ def _parse_edge_list(lines, path):
         n = 1 + int(edges[:, :2].max())
     try:
         return laplacian_from_edges(n, edges)
+    except EdgeError as exc:
+        line = edge_lines[exc.index]
+        raise ValidationError(f"{path}:{line}: {exc.fault(1)}") from exc
     except ValidationError as exc:
         raise ValidationError(f"{path}: {exc}") from exc
 
@@ -227,7 +232,7 @@ def _cmd_check(args):
     # Q is exactly symmetric, so its kept eigh is that of (Q + Q^T) / 2.
     spectrum = (sym_eig((matrix + matrix.T) / 2.0).values if directed
                 else g.eig.values)
-    report_q = validate_class_q(matrix, tol=args.tol)
+    report_q = validate_class_q(matrix)
     outputs = {
         "n": g.n,
         "input_kind": "directed" if directed else "class_q",
@@ -296,7 +301,7 @@ def _cmd_resistance(args):
     }
     if sig is not None:
         outputs["inertia"] = [sig.positive, sig.negative, sig.zero]
-        outputs["metric_class"] = classify_metric(rm.omega, tol=args.tol).label
+        outputs["metric_class"] = classify_metric(rm.omega).label
     return {"outputs": outputs, "residuals": {}}, EXIT_OK
 
 
@@ -334,7 +339,7 @@ def _cmd_maxvar(args):
         omega = resistance_matrix_scwb(g)
     else:
         omega = resistance_matrix_q(g)
-    solution = solve_maxvar(omega, tol=args.tol)
+    solution = solve_maxvar(omega)
     report = characterize(solution, g)
     outputs = {
         "f": solution.f,
@@ -437,8 +442,6 @@ def build_parser():
             p.add_argument("input", help="edge-list or CSV matrix file")
             p.add_argument("--as-laplacian", action="store_true",
                            help="treat a CSV matrix as a Laplacian, not adjacency")
-        p.add_argument("--tol", type=float, default=STRUCTURAL_TOL,
-                       help="structural/certification tolerance")
         p.set_defaults(handler=handler)
         return p
 
@@ -489,8 +492,8 @@ def main(argv=None):
 
 def _echo_inputs(args):
     echo = {}
-    for key in ("input", "keep", "as_laplacian", "gamma", "tol",
-                "seed", "cases", "n_max", "out"):
+    for key in ("input", "keep", "as_laplacian", "gamma", "seed", "cases",
+                "n_max", "out"):
         if hasattr(args, key):
             echo[key] = getattr(args, key)
     return echo

@@ -25,7 +25,7 @@ import numpy as np
 from .curvature import curvature_radius_q
 from .errors import NumericError, ValidationError
 from .graph import SignedLaplacianQ
-from .linalg import pseudoinverse
+from .linalg import _scale, pseudoinverse
 
 
 @dataclass(frozen=True)
@@ -44,7 +44,7 @@ class Embedding:
     def __post_init__(self):
         b = self.coordinates
         centroid = np.abs(b.sum(axis=1)).max(initial=0.0)
-        if centroid > 1e-10 * max(1.0, np.abs(b).max(initial=0.0)):
+        if centroid > 1e-10 * _scale(b):
             raise ValidationError(
                 f"embedded centroid deviates from the origin by {centroid:.3e}"
             )

@@ -36,6 +36,7 @@ import numpy as np
 from .errors import NumericError, StructureError, ValidationError
 from .linalg import (
     COND_LIMIT,
+    _scale,
     as_square,
     normalize_indices,
     pseudoinverse,
@@ -44,13 +45,10 @@ from .linalg import (
     sym_eig,
 )
 
-#: Default tolerance for structural predicates (weight balance, class
-#: membership); scale-aware, applied as ``tol * max(1, |A|_max)``.
+#: Fixed tolerance of the structural predicates (weight balance, class
+#: membership, metric classification); scale-aware, applied as
+#: ``STRUCTURAL_TOL * max(1, |A|_max)`` or relative to a spectrum's peak.
 STRUCTURAL_TOL = 1e-9
-
-
-def _scale(m):
-    return max(1.0, float(m.max()), -float(m.min())) if m.size else 1.0
 
 
 def _reached(matrix, seeds):
@@ -84,11 +82,6 @@ def _reached(matrix, seeds):
     return np.array(seen)
 
 
-def _columns_balanced(matrix, tol):
-    """Whether every column sum vanishes within ``tol`` of the matrix scale."""
-    return bool(np.abs(matrix.sum(axis=0)).max() <= tol * _scale(matrix))
-
-
 class DirectedLaplacian:
     """Laplacian of a weighted directed graph without self-loops.
 
@@ -97,8 +90,8 @@ class DirectedLaplacian:
     weight balance are computed once at construction and cached: the
     graph is strongly connected when the forward and the backward closure
     of node 0 both cover every node (a single node counts as connected),
-    and weight balanced when :func:`is_weight_balanced` holds at the
-    default tolerance.
+    and weight balanced when every column sum vanishes within
+    ``STRUCTURAL_TOL`` of the matrix scale.
 
     Three factorizations are filled in on first use and then shared by
     every function that derives from them: the :class:`WeightBalancing`
@@ -141,7 +134,9 @@ class DirectedLaplacian:
         self.strongly_connected = bool(
             _reached(m, [0]).all() and _reached(m.T, [0]).all()
         )
-        self.weight_balanced = _columns_balanced(m, STRUCTURAL_TOL)
+        self.weight_balanced = bool(
+            np.abs(m.sum(axis=0)).max() <= STRUCTURAL_TOL * _scale(m)
+        )
         self._balancing = self._sym_pinv = self._kernel = None
 
     def __repr__(self):
@@ -167,8 +162,8 @@ class SignedLaplacianQ:
 
     __slots__ = ("matrix", "n", "eig", "pinv")
 
-    def __init__(self, matrix, tol=STRUCTURAL_TOL):
-        failure, _, checked = _classify_q(matrix, tol)
+    def __init__(self, matrix):
+        failure, _, checked = _classify_q(matrix)
         if failure is not None:
             raise ValidationError(f"not a valid signed Laplacian: {failure}")
         cleaned, eig = checked
@@ -200,7 +195,7 @@ class ClassQReport:
     details: dict = field(default_factory=dict)
 
 
-def _classify_q(matrix, tol):
+def _classify_q(matrix):
     """Shared checks behind ``SignedLaplacianQ`` and ``validate_class_q``.
 
     Returns ``(failure, details, checked)`` where ``checked`` is the pair
@@ -223,7 +218,7 @@ def _classify_q(matrix, tol):
     sym = (m + m.T) / 2.0
     rowsum = float(np.abs(sym.sum(axis=1)).max())
     details["row_sum"] = rowsum
-    if rowsum > tol * scale:
+    if rowsum > STRUCTURAL_TOL * scale:
         return f"row sums deviate from zero by {rowsum:.3e}", details, None
     cleaned = sym.copy()
     off = cleaned.copy()
@@ -236,20 +231,14 @@ def _classify_q(matrix, tol):
     if peak == 0.0:
         kernel = n
     else:
-        if w[-1] < -tol * peak:
-            return (
-                f"not positive semidefinite (eigenvalue {w[-1]:.3e})",
-                details,
-                None,
-            )
-        kernel = int(np.sum(np.abs(w) <= tol * peak))
+        if w[-1] < -STRUCTURAL_TOL * peak:
+            return (f"not positive semidefinite (eigenvalue {w[-1]:.3e})",
+                    details, None)
+        kernel = int(np.sum(np.abs(w) <= STRUCTURAL_TOL * peak))
     details["kernel_dimension"] = kernel
     if kernel != 1:
-        return (
-            f"kernel has dimension {kernel}, expected exactly span(1)",
-            details,
-            None,
-        )
+        return (f"kernel has dimension {kernel}, expected exactly span(1)",
+                details, None)
     dmin = float(np.diag(cleaned).min())
     details["diagonal_min"] = dmin
     if dmin <= 0.0:
@@ -257,19 +246,43 @@ def _classify_q(matrix, tol):
     return None, details, (cleaned, eig)
 
 
-def validate_class_q(matrix, tol=STRUCTURAL_TOL):
+def validate_class_q(matrix):
     """Check membership in the signed-Laplacian class without raising.
 
     All failures are reported through :class:`ClassQReport`; on success the
-    report carries the constructed :class:`SignedLaplacianQ`.
+    report carries the constructed :class:`SignedLaplacianQ`, whose
+    construction factors the matrix a second time.
     """
-    failure, details, checked = _classify_q(matrix, tol)
+    failure, details, checked = _classify_q(matrix)
     if failure is not None:
         return ClassQReport(ok=False, failure=failure, laplacian=None,
                             details=details)
     return ClassQReport(ok=True, failure=None,
-                        laplacian=SignedLaplacianQ(checked[0], tol=tol),
+                        laplacian=SignedLaplacianQ(checked[0]),
                         details=details)
+
+
+class EdgeError(ValidationError):
+    """An edge that :func:`laplacian_from_edges` refuses: ``index`` is its
+    position in the list, ``edge`` its ``(src, dst, weight)``, and
+    :meth:`fault` names the first check it fails with node ids counted
+    from ``first`` (1 for a file's 1-based ids)."""
+
+    def __init__(self, index, edge, n):
+        self.index, self.edge, self.n = index, edge, n
+        super().__init__(f"edge {index}: {self.fault(0)}")
+
+    def fault(self, first):
+        src, dst, w = self.edge
+        if not (float(src).is_integer() and float(dst).is_integer()):
+            return f"endpoints ({src!r}, {dst!r}) must be integers"
+        src, dst = int(src), int(dst)
+        if not (0 <= src < self.n and 0 <= dst < self.n):
+            return (f"endpoints ({src + first}, {dst + first}) outside "
+                    f"[{first}, {self.n - 1 + first}]")
+        if src == dst:
+            return f"self-loop at node {src + first}"
+        return f"weight {w} must be positive"
 
 
 def laplacian_from_edges(n, edges):
@@ -282,9 +295,11 @@ def laplacian_from_edges(n, edges):
     Raises
     ------
     ValidationError
-        On edges that are not triples, non-integer or out-of-range
-        endpoints, self-loops, or nonpositive weights.  The message names
-        the first offending edge and the first of these checks it fails.
+        On edges that are not triples.
+    EdgeError
+        On non-integer or out-of-range endpoints, self-loops, or
+        nonpositive weights.  It names the first offending edge and the
+        first of these checks it fails.
     """
     if n < 1:
         raise ValidationError("node count must be at least 1")
@@ -295,18 +310,10 @@ def laplacian_from_edges(n, edges):
     ends, weight = e[:, :2], e[:, 2]
     integral = (np.isfinite(ends) & (ends == np.floor(ends))).all(axis=1)
     inside = integral & ((ends >= 0) & (ends < n)).all(axis=1)
-    loop = inside & (ends[:, 0] == ends[:, 1])
-    bad = ~inside | loop | ~(weight > 0.0)
+    bad = ~inside | (ends[:, 0] == ends[:, 1]) | ~(weight > 0.0)
     if bad.any():
         k = int(np.argmax(bad))
-        src, dst, w = e[k].tolist()
-        if not integral[k]:
-            raise ValidationError(f"edge {k}: endpoints ({src!r}, {dst!r}) must be integers")
-        if not inside[k]:
-            raise ValidationError(f"edge {k}: endpoints ({int(src)}, {int(dst)}) outside [0, {n - 1}]")
-        if loop[k]:
-            raise ValidationError(f"edge {k}: self-loop at node {int(src)}")
-        raise ValidationError(f"edge {k}: weight {w} must be positive")
+        raise EdgeError(k, e[k].tolist(), n)
     adjacency = np.zeros((n, n))
     # add.at applies repeated (src, dst) pairs one after another, so
     # duplicate edges sum in the order given, as a loop of += would.
@@ -321,9 +328,9 @@ def is_strongly_connected(lap: DirectedLaplacian) -> bool:
     return lap.strongly_connected
 
 
-def is_weight_balanced(lap: DirectedLaplacian, tol=STRUCTURAL_TOL) -> bool:
+def is_weight_balanced(lap: DirectedLaplacian) -> bool:
     """Whether column sums vanish as well (in-weight equals out-weight)."""
-    return _columns_balanced(lap.matrix, tol)
+    return lap.weight_balanced
 
 
 @dataclass(frozen=True)

@@ -16,14 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericError, StructureError, ValidationError
-from .graph import (
-    DirectedLaplacian,
-    SignedLaplacianQ,
-    _reached,
-    _scale,
-    validate_class_q,
-)
-from .linalg import normalize_indices, schur_complement
+from .graph import DirectedLaplacian, SignedLaplacianQ, _reached
+from .linalg import _scale, normalize_indices, schur_complement
 
 
 @dataclass(frozen=True)
@@ -114,12 +108,8 @@ def kron_reduce_q(q: SignedLaplacianQ, keep) -> SignedLaplacianQ:
     revalidation here indicates a numerical breakdown, not a bad input.
     """
     kept = normalize_indices(keep, q.n, min_size=2)
-    raw = schur_complement(q.matrix, kept)
-    report = validate_class_q(raw)
-    if not report.ok:
-        raise NumericError(
-            "reduced matrix left the signed-Laplacian class "
-            f"({report.failure}); this should not happen and indicates a "
-            f"numerical breakdown (details: {report.details})"
-        )
-    return report.laplacian
+    try:
+        return SignedLaplacianQ(schur_complement(q.matrix, kept))
+    except ValidationError as exc:
+        raise NumericError(f"Kron reduction left the signed-Laplacian class "
+                           f"({exc}): a numerical breakdown") from exc

@@ -12,7 +12,7 @@ that the rest of the package relies on:
   joint flip of ``u_k`` and ``v_k`` leaves exact, and the balancing
   re-signs its null vector to a positive sum;
 * pseudoinverse rank cuts use the relative tolerance
-  ``max(m, n) * eps * sigma_max`` unless the caller overrides it;
+  ``max(m, n) * eps * sigma_max``;
 * pseudoinverses take one of two routes.  A symmetric matrix (``L_s^+``,
   a signed Laplacian ``Q``, a centered Gram matrix) is inverted from its
   ``eigh`` factorization by :meth:`SymEig.pinv`, and the result is exactly
@@ -27,7 +27,10 @@ that the rest of the package relies on:
   ``sqrt(kappa_1 kappa_inf)``, read off the ones-solutions that ride along
   with the solve; this bounds ``kappa_2`` from above, so it never admits
   a block that ``kappa_2`` refuses.  Any other block (``Q``, ``K``,
-  ``L_s^+``, a resistance matrix) is gated on ``kappa_2`` by SVD.
+  ``L_s^+``, a resistance matrix) is gated on ``kappa_2`` by SVD;
+* a matrix whose kernel contains ``1`` is read on ``1``-perp through the
+  Householder reflector of :func:`_reflected`, which keeps that kernel
+  direction exact.
 
 All computations are float64.
 """
@@ -43,6 +46,11 @@ from .errors import DegenerateBlockError, NumericError, ValidationError
 
 #: Condition-number ceiling for any block that gets inverted.
 COND_LIMIT = 1e12
+
+
+def _scale(m):
+    """``max(1, |m|_max)``: the magnitude relative tolerances scale with."""
+    return max(1.0, float(m.max()), -float(m.min())) if m.size else 1.0
 
 
 def as_matrix(a, name="matrix"):
@@ -86,12 +94,12 @@ class SymEig:
     vectors: np.ndarray
 
     def pinv(self):
-        """Pseudoinverse with the default rank cut of :func:`pseudoinverse`
+        """Pseudoinverse with the rank cut of :func:`pseudoinverse`
         applied to ``|lambda|``, symmetrized so it equals its transpose bit
         for bit."""
         w = self.values
         peak = np.abs(w).max(initial=0.0)
-        keep = np.abs(w) > default_rank_tol(self.vectors.shape) * peak
+        keep = np.abs(w) > max(self.vectors.shape) * np.finfo(float).eps * peak
         v = self.vectors[:, keep]
         p = (v / w[keep]) @ v.T
         return (p + p.T) / 2.0
@@ -106,25 +114,14 @@ class Inertia:
     zero: int
 
 
-def sym_eig(a, tol=1e-9):
-    """Eigendecomposition of a symmetric matrix.
-
-    Parameters
-    ----------
-    a : array_like
-        Square matrix, symmetric within ``tol`` relative to its magnitude.
-    tol : float
-        Symmetry tolerance; asymmetry beyond it is a contract violation.
-
-    Returns
-    -------
-    SymEig
-        Descending eigenvalues and sign-fixed orthonormal eigenvectors.
-    """
+def sym_eig(a):
+    """Eigendecomposition of a square matrix symmetric within ``1e-9`` of its
+    magnitude; more asymmetry is a contract violation.  Returns a
+    :class:`SymEig` of descending eigenvalues and sign-fixed orthonormal
+    eigenvectors."""
     m = as_square(a)
-    scale = max(1.0, np.abs(m).max())
-    asym = np.abs(m - m.T).max()
-    if asym > tol * scale:
+    asym = np.abs(m - m.T).max(initial=0.0)
+    if asym > 1e-9 * _scale(m):
         raise ValidationError(f"matrix is not symmetric (asymmetry {asym:.3e})")
     w, v = np.linalg.eigh((m + m.T) / 2.0)
     order = np.argsort(w)[::-1]
@@ -146,27 +143,20 @@ def svd(a):
     return np.ascontiguousarray(u), s, np.ascontiguousarray(vt.T)
 
 
-def default_rank_tol(shape):
-    """Relative rank tolerance: ``max(m, n) * eps``."""
-    return max(shape) * np.finfo(float).eps
-
-
-def pseudoinverse(a, rank_tol=None):
+def pseudoinverse(a):
     """Moore-Penrose pseudoinverse via SVD.
 
-    Singular values at or below ``rank_tol * sigma_max`` are treated as
-    zero.  ``rank_tol`` defaults to ``max(m, n) * eps``.
+    Singular values at or below ``max(m, n) * eps * sigma_max`` are treated
+    as zero.
     """
     m = as_matrix(a)
     u, s, v = svd(m)
-    if rank_tol is None:
-        rank_tol = default_rank_tol(m.shape)
     # With nothing kept the product has inner dimension 0 and is all zeros.
-    keep = s > rank_tol * s.max(initial=0.0)
+    keep = s > max(m.shape) * np.finfo(float).eps * s.max(initial=0.0)
     return (v[:, keep] / s[keep]) @ u[:, keep].T
 
 
-def schur_complement(a, keep, cond_limit=COND_LIMIT):
+def schur_complement(a, keep):
     """Schur complement of ``a`` onto the ``keep`` indices.
 
     Eliminates the complement block ``e`` and returns
@@ -181,7 +171,7 @@ def schur_complement(a, keep, cond_limit=COND_LIMIT):
     ------
     DegenerateBlockError
         If the eliminated block is singular or its condition number
-        exceeds ``cond_limit``.
+        exceeds ``COND_LIMIT``.
     """
     m = as_square(a)
     n = m.shape[0]
@@ -191,7 +181,7 @@ def schur_complement(a, keep, cond_limit=COND_LIMIT):
         return m[np.ix_(kept, kept)].copy()
     x = _gated_solve(m[np.ix_(elim, elim)], m[np.ix_(elim, kept)],
                      f"eliminated block over nodes {elim.tolist()}",
-                     DegenerateBlockError, cond_limit)
+                     DegenerateBlockError)
     return m[np.ix_(kept, kept)] - m[np.ix_(kept, elim)] @ x
 
 
@@ -210,8 +200,7 @@ def schur_sequential(a, keep):
     for node in sorted(set(range(n)) - set(kept.tolist()), reverse=True):
         pos = remaining.index(node)
         pivot = m[pos, pos]
-        scale = max(1.0, np.abs(m).max())
-        if abs(pivot) <= 1e-13 * scale:
+        if abs(pivot) <= 1e-13 * _scale(m):
             raise DegenerateBlockError(
                 f"pivot for node {node} is negligible ({pivot:.3e})"
             )
@@ -221,18 +210,39 @@ def schur_sequential(a, keep):
     return m
 
 
-def inertia(s, tol=1e-9):
+def inertia(s):
     """Signature of a symmetric matrix.
 
-    Eigenvalues within ``tol * max|lambda|`` of zero count as zero.
+    Eigenvalues within the fixed relative cut ``1e-9 * max|lambda|`` of zero
+    count as zero.
     """
-    eig = sym_eig(s, tol=tol)
-    w = eig.values
-    peak = np.abs(w).max() if w.size else 0.0
-    thr = tol * max(peak, 0.0)
+    w = sym_eig(s).values
+    thr = 1e-9 * (np.abs(w).max() if w.size else 0.0)
     pos = int(np.sum(w > thr))
     neg = int(np.sum(w < -thr))
     return Inertia(positive=pos, negative=neg, zero=w.size - pos - neg)
+
+
+def _reflected(m):
+    """``H m`` for a vector ``m``, ``H m H`` for a symmetric matrix ``m``.
+
+    ``H = I - beta u u^T``, ``u = 1/sqrt(n) - e_n``, is the Householder
+    reflector that swaps ``e_n`` and ``1/sqrt(n)`` (the identity at n = 1);
+    its first ``n - 1`` columns are an orthonormal basis of ``1``-perp.  So
+    ``H m H`` has a zero last row and column when ``m 1 = 0``, with no rank
+    decision.  ``H m H`` is two rank-one updates, O(n^2).
+    """
+    n = m.shape[0]
+    if n == 1:
+        return m.copy()
+    u = np.full(n, 1.0 / math.sqrt(n))
+    u[-1] -= 1.0
+    beta = 2.0 / (u @ u)
+    w = m @ u
+    if m.ndim == 1:
+        return m - (beta * w) * u
+    z = beta * w - (0.5 * beta * beta * (u @ w)) * u
+    return m - np.outer(u, z) - np.outer(z, u)
 
 
 def centering_projector(n):
@@ -242,8 +252,8 @@ def centering_projector(n):
     return np.eye(n) - np.full((n, n), 1.0 / n)
 
 
-def solve_conditioned(a, b, what="linear system", cond_limit=COND_LIMIT):
-    """Solve ``a x = b`` refusing condition numbers above ``cond_limit``.
+def solve_conditioned(a, b, what="linear system"):
+    """Solve ``a x = b`` refusing condition numbers above ``COND_LIMIT``.
 
     The gate is that of :func:`schur_complement`: the solve-based bound
     ``sqrt(kappa_1 kappa_inf)`` for a nonsingular M-matrix ``a``, and
@@ -252,11 +262,11 @@ def solve_conditioned(a, b, what="linear system", cond_limit=COND_LIMIT):
     :class:`NumericError`.
     """
     return _gated_solve(as_square(a), np.asarray(b, dtype=float), what,
-                        NumericError, cond_limit)
+                        NumericError)
 
 
-def _gated_solve(a, b, what, error, cond_limit):
-    """``a^{-1} b`` once the condition number of ``a`` is at most ``cond_limit``.
+def _gated_solve(a, b, what, error):
+    """``a^{-1} b`` once the condition number of ``a`` is at most ``COND_LIMIT``.
 
     A Z-matrix ``a`` (no positive off-diagonal entry) is solved at once,
     with a ones column appended to ``b``, together with ``a^T 1``.  When
@@ -292,9 +302,9 @@ def _gated_solve(a, b, what, error, cond_limit):
             cond = np.linalg.cond(a)
     else:
         cond = np.linalg.cond(a)
-    if not np.isfinite(cond) or cond > cond_limit:
+    if not np.isfinite(cond) or cond > COND_LIMIT:
         raise error(f"{what} is singular or ill-conditioned "
-                    f"(cond {cond:.3e} > {cond_limit:.0e})")
+                    f"(cond {cond:.3e} > {COND_LIMIT:.0e})")
     return np.linalg.solve(a, b) if x is None else x
 
 

@@ -44,8 +44,8 @@ from .errors import (
     ValidationError,
 )
 from .generators import random_class_q
-from .graph import DirectedLaplacian, SignedLaplacianQ, _scale
-from .linalg import as_square
+from .graph import DirectedLaplacian, SignedLaplacianQ
+from .linalg import _scale, as_square
 from .resistance import (
     ResistanceMatrix,
     resistance_matrix_q,
@@ -137,13 +137,13 @@ def variance(omega, f) -> float:
     return float(0.5 * v @ om @ v)
 
 
-def verify_kkt(omega, f, tol=1e-9) -> KktCheck:
+def verify_kkt(omega, f) -> KktCheck:
     """Check first-order optimality of ``f`` for the variance problem.
 
     The residual is ``max_j (Omega f)_j - min_{i in supp f} (Omega f)_i``
     clipped at zero: it vanishes exactly when the gradient is constant on
-    the support and no larger elsewhere.  ``tol`` is applied relative to
-    the magnitude of ``Omega``.
+    the support and no larger elsewhere.  It passes at the solvers'
+    ``1e-9`` relative to the magnitude of ``Omega``.
     """
     om = _as_omega(omega)
     v = _check_distribution(f, om.shape[0])
@@ -151,7 +151,7 @@ def verify_kkt(omega, f, tol=1e-9) -> KktCheck:
     if support.size == 0:
         raise ValidationError("distribution has empty support")
     residual = _kkt_residual(om @ v, support)
-    return KktCheck(ok=residual <= tol * _scale(om), residual=residual,
+    return KktCheck(ok=residual <= 1e-9 * _scale(om), residual=residual,
                     support=support)
 
 
@@ -232,7 +232,7 @@ def solve_maxvar_exact(omega) -> MaxVarSolution:
     )
 
 
-def solve_maxvar(omega, x0=None, tol=1e-9, max_iter=10000) -> MaxVarSolution:
+def solve_maxvar(omega, x0=None, max_iter=10000) -> MaxVarSolution:
     """Maximizer by a primal active-set method over faces of the simplex.
 
     Starts from ``x0`` (default: all mass on node 0) with its positive
@@ -241,7 +241,8 @@ def solve_maxvar(omega, x0=None, tol=1e-9, max_iter=10000) -> MaxVarSolution:
     interior face point is accepted; otherwise ``f`` moves toward it until
     the first entry at or below ``INTERIOR_TOL`` reaches zero, that node
     leaves, and the face is solved again.  Strict concavity makes this
-    finite.  ``max_iter`` caps the number of face solves.
+    finite.  ``max_iter`` caps the number of face solves.  The KKT residual
+    is certified at ``1e-9`` relative to the magnitude of ``Omega``.
 
     Raises
     ------
@@ -263,7 +264,7 @@ def solve_maxvar(omega, x0=None, tol=1e-9, max_iter=10000) -> MaxVarSolution:
     f = np.eye(1, n)[0] if x0 is None else _check_distribution(x0, n)
     f = f / f.sum()
     nodes = np.flatnonzero(f > 0.0)
-    tol_cert = tol * _scale(om)
+    tol_cert = 1e-9 * _scale(om)
     history = []
     solves = 0
     while True:

@@ -13,9 +13,10 @@ by the balancing vector.  Signed Laplacians get the same closed form with
 
 ``classify_metric`` places a nonnegative symmetric matrix with zero
 diagonal in the negative-type hierarchy through the spectrum of the
-centered Gram matrix ``G = -1/2 J D J``; distance matrices of strict
-negative type are exactly those arising from signed Laplacians, which is
-what ``q_from_distance`` inverts.
+centered Gram matrix ``G = -1/2 J D J`` on ``1``-perp, where ``1`` is in its
+kernel by construction; distance matrices of strict negative type are
+exactly those arising from signed Laplacians, which is what
+``q_from_distance`` inverts.
 """
 
 from __future__ import annotations
@@ -34,17 +35,11 @@ from .graph import (
     DirectedLaplacian,
     SignedLaplacianQ,
     STRUCTURAL_TOL,
-    _scale,
     _shared_sym_pinv,
-    validate_class_q,
     weight_balance,
 )
 from .kron import kron_reduce
-from .linalg import (
-    as_square,
-    centering_projector,
-    sym_eig,
-)
+from .linalg import _reflected, _scale, as_square, sym_eig
 
 RESISTANCE_KINDS = ("directed_sc", "scwb", "class_q")
 
@@ -177,85 +172,77 @@ class MetricClass:
     witness: np.ndarray | None
 
 
-def classify_metric(distance, tol=STRUCTURAL_TOL) -> MetricClass:
+def classify_metric(distance) -> MetricClass:
     """Classify a squared-distance matrix by its centered Gram spectrum.
 
-    Parameters
-    ----------
-    distance : array_like
-        Symmetric nonnegative matrix with zero diagonal (entries are
-        squared distances).
-    tol : float
-        Spectral tolerance, relative to the largest Gram eigenvalue.
-
-    Returns
-    -------
-    MetricClass
-        ``not_negative_type`` if the centered Gram matrix has a negative
-        eigenvalue; ``negative_type`` if it is PSD with kernel strictly
-        larger than ``span(1)``; ``strict_negative_type`` if PSD with
-        kernel exactly ``span(1)``; upgraded to ``resistance_metric`` when
-        the Gram pseudoinverse has no positive off-diagonal entries beyond
-        ``tol``, i.e. when it is an unsigned Laplacian.
+    ``distance`` is a symmetric nonnegative matrix with zero diagonal
+    (entries are squared distances).  The ``n - 1`` eigenvalues of the
+    centered Gram matrix on ``1``-perp count as zero within the fixed
+    ``STRUCTURAL_TOL`` times the largest.  The label is
+    ``not_negative_type`` if one is negative, ``negative_type`` if one is
+    zero (the Gram kernel is larger than ``span(1)``), and otherwise
+    ``strict_negative_type``, upgraded to ``resistance_metric`` when the
+    Gram pseudoinverse has no off-diagonal entry above ``STRUCTURAL_TOL``
+    (an unsigned Laplacian).  Witnesses are unit vectors orthogonal to 1.
     """
-    return _classify(distance, tol)[0]
+    return _classify(distance)[0]
 
 
-def _classify(distance, tol):
+def _classify(distance):
     """:func:`classify_metric` plus the Gram pseudoinverse from its one
-    ``eigh`` (``None`` unless the label is strict)."""
+    ``eigh`` (``None`` unless the label is strict).
+
+    With the reflector ``H`` of :func:`~resgeo.linalg._reflected`,
+    ``H G H = diag(B, 0)`` for the leading ``(n-1) x (n-1)`` block ``B`` of
+    ``-1/2 H D H``.  Only ``B`` is factored, and ``G^+ = H diag(B^-1, 0) H``
+    has rows summing to zero at roundoff in its entries, not in ``cond(G)``.
+    """
     d = as_square(distance, "distance")
     n = d.shape[0]
     scale = _scale(d)
     if np.abs(d - d.T).max(initial=0.0) > 1e-12 * scale:
         raise ValidationError("distance matrix must be symmetric")
-    if np.abs(np.diag(d)).max(initial=0.0) > tol * scale:
+    if np.abs(np.diag(d)).max(initial=0.0) > STRUCTURAL_TOL * scale:
         raise ValidationError("distance matrix must have zero diagonal")
-    if d.min() < -tol * scale:
+    if d.min() < -STRUCTURAL_TOL * scale:
         raise ValidationError("distance matrix must be nonnegative")
-    j = centering_projector(n)
-    gram = -0.5 * (j @ d @ j)
-    gram = (gram + gram.T) / 2.0
-    eig = sym_eig(gram)
+    eig = sym_eig(-0.5 * _reflected(d)[:-1, :-1])
     w = eig.values
-    peak = float(np.abs(w).max()) if w.size else 0.0
-    thr = tol * peak
-    if w.size and w[-1] < -thr:
-        return MetricClass(label="not_negative_type",
-                           witness=eig.vectors[:, -1].copy()), None
-    kernel = int(np.sum(np.abs(w) <= thr)) if peak > 0.0 else n
-    if kernel > 1:
-        # pick the kernel direction most orthogonal to the all-ones vector
-        idx = [k for k in range(n) if abs(w[k]) <= thr or peak == 0.0]
-        vecs = eig.vectors[:, idx]
-        overlap = np.abs(vecs.T @ np.ones(n)) / np.sqrt(n)
-        witness = vecs[:, int(np.argmin(overlap))].copy()
-        witness = witness - witness.mean()
-        norm = np.linalg.norm(witness)
-        if norm > 0:
-            witness = witness / norm
-        return MetricClass(label="negative_type", witness=witness), None
-    gram_pinv = eig.pinv()
+    thr = STRUCTURAL_TOL * (float(np.abs(w).max()) if w.size else 0.0)
+    if w.size and w[-1] <= thr:
+        # The smallest eigenvalue is negative, or zero: an extra kernel
+        # direction.  H maps its eigenvector, padded with a 0, into 1-perp.
+        witness = _reflected(np.append(eig.vectors[:, -1], 0.0))
+        label = "not_negative_type" if w[-1] < -thr else "negative_type"
+        return MetricClass(label=label, witness=witness), None
+    gram_pinv = np.zeros((n, n))
+    gram_pinv[:-1, :-1] = eig.pinv()
+    gram_pinv = _reflected(gram_pinv)
+    gram_pinv = (gram_pinv + gram_pinv.T) / 2.0
     off = gram_pinv - np.diag(np.diag(gram_pinv))
-    if off.max(initial=0.0) <= tol:
+    if off.max(initial=0.0) <= STRUCTURAL_TOL:
         return MetricClass(label="resistance_metric", witness=None), gram_pinv
     return MetricClass(label="strict_negative_type", witness=None), gram_pinv
 
 
-def q_from_distance(distance, tol=STRUCTURAL_TOL) -> SignedLaplacianQ:
+def q_from_distance(distance) -> SignedLaplacianQ:
     """Recover the signed Laplacian generating a strict-negative-type metric.
 
     Inverts the resistance-matrix construction: the pseudoinverse of the
     centered Gram matrix of a strict-negative-type squared-distance matrix
-    is a signed Laplacian whose resistance matrix is the input.
+    is a signed Laplacian whose resistance matrix is the input.  It is
+    formed on ``1``-perp, so its rows sum to zero at roundoff.
 
     Raises
     ------
     MetricClassificationError
         If the input is not of strict negative type; carries the label and
         witness from classification.
+    NumericError
+        If the recovered matrix fails the checks of
+        :class:`~resgeo.graph.SignedLaplacianQ`.
     """
-    mc, q = _classify(distance, tol)
+    mc, q = _classify(distance)
     if mc.label not in ("strict_negative_type", "resistance_metric"):
         raise MetricClassificationError(
             f"distance matrix is {mc.label}; a signed Laplacian exists only "
@@ -263,10 +250,7 @@ def q_from_distance(distance, tol=STRUCTURAL_TOL) -> SignedLaplacianQ:
             label=mc.label,
             witness=mc.witness,
         )
-    report = validate_class_q(q, tol=tol)
-    if not report.ok:
-        raise NumericError(
-            "recovered matrix failed signed-Laplacian validation "
-            f"({report.failure})"
-        )
-    return report.laplacian
+    try:
+        return SignedLaplacianQ(q)
+    except ValidationError as exc:
+        raise NumericError(f"recovered matrix failed validation ({exc})") from exc

@@ -356,7 +356,7 @@ def _metric_labels(rng, suite):
         worst = max(worst, 1.0)
     recovered = rs.q_from_distance(omega)
     relative = np.abs(recovered.matrix - q.matrix).max()
-    relative /= max(1.0, np.abs(q.matrix).max())
+    relative /= la._scale(q.matrix)
     return max(worst, relative)
 
 

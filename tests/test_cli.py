@@ -1,9 +1,13 @@
+import inspect
 import json
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from resgeo.cli import _emit, main
+import resgeo
+from resgeo.cli import _emit, build_parser, main
 from resgeo.embed import read_coordinates
 from resgeo.generators import random_class_q
 
@@ -196,6 +200,21 @@ def test_zero_based_ids_rejected(capsys, tmp_path):
     assert "1-based" in report["error"]["message"]
 
 
+@pytest.mark.parametrize("text, message", [
+    ("# header too small for node 5\n\nn 3\n1 2 1.0\n1 5 1.0\n",
+     "5: endpoints (1, 5) outside [1, 3]"),
+    ("2 2 1.0\n1 2 1.0\n", "1: self-loop at node 2"),
+    ("1 2 1.0\n\n2 1 -0.5\n", "3: weight -0.5 must be positive"),
+], ids=["range", "self_loop", "weight"])
+def test_edge_errors_name_the_line_and_one_based_ids(capsys, tmp_path,
+                                                     text, message):
+    path = tmp_path / "bad.edges"
+    path.write_text(text)
+    code, report = run_cli(capsys, "check", str(path))
+    assert code == 1
+    assert report["error"]["message"] == f"{path}:{message}"
+
+
 def test_negative_adjacency_rejected(capsys, tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("0,-1\n-1,0\n")
@@ -249,8 +268,7 @@ MAXVAR_GOLDEN_TEXT = """\
   "status": "ok",
   "inputs": {
     "input": "%s",
-    "as_laplacian": false,
-    "tol": 1.0000000000000001e-09
+    "as_laplacian": false
   },
   "outputs": {
     "f": [0, 0.5, 0.5, 0],
@@ -271,6 +289,39 @@ def test_maxvar_golden_text(capsys, edge_file):
     # Whole-subcommand bytes on the showcase graph, solver included.
     assert main(["maxvar", edge_file]) == 0
     assert capsys.readouterr().out == MAXVAR_GOLDEN_TEXT % edge_file
+
+
+def test_tol_is_not_an_option(capsys):
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["maxvar", "graph.edges", "--tol", "1e-6"])
+    assert "unrecognized arguments: --tol" in capsys.readouterr().err
+
+
+def test_no_public_callable_takes_a_tolerance():
+    for name in resgeo.__all__:
+        obj = getattr(resgeo, name)
+        if not callable(obj) or (inspect.isclass(obj)
+                                 and issubclass(obj, BaseException)):
+            continue
+        params = inspect.signature(obj).parameters
+        assert not {"tol", "rank_tol", "cond_limit"} & set(params), name
+
+
+def test_readme_command_lines_parse():
+    # Every documented example parses, and together they cover every
+    # subcommand; a flag dropped from the parser fails here.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1]
+    commands = [shlex.split(line, comments=True)
+                for line in block.split("```", 1)[0].splitlines()
+                if line.strip()]
+    parser = build_parser()
+    for argv in commands:
+        assert argv[0] == "resgeo"
+        parser.parse_args(argv[1:])
+    assert {argv[1] for argv in commands} == {
+        "check", "kron", "resistance", "curvature", "maxvar", "embed",
+        "balance", "verify"}
 
 
 def test_reports_echo_inputs(capsys, edge_file):

@@ -49,12 +49,13 @@ from resgeo.graph import (
     validate_class_q,
     weight_balance,
 )
-from resgeo.kron import kron_reduce
+from resgeo.kron import kron_reduce, kron_reduce_q
 from resgeo.linalg import _fix_signs, centering_projector, sym_eig
 from resgeo.maxvar import characterize, solve_maxvar
 from resgeo.resistance import (
     classify_metric,
     effective_resistance_directed,
+    q_from_distance,
     resistance_matrix_q,
     resistance_matrix_sc,
     resistance_matrix_scwb,
@@ -135,6 +136,18 @@ def test_derived_quantities_take_no_factorization(kernels, derive, gated):
 def test_classify_metric_takes_one_eigh(kernels):
     omega = resistance_matrix_q(Q30).omega
     assert classify_metric(omega).label == "strict_negative_type"
+    assert (kernels["svd"], kernels["eigh"]) == (0, 1)
+
+
+def test_q_from_distance_takes_two_eigh(kernels):
+    # One for the Gram block on 1-perp, one to build Q; validate_class_q
+    # would factor Q twice.
+    q_from_distance(resistance_matrix_q(Q30).omega)
+    assert (kernels["svd"], kernels["eigh"]) == (0, 2)
+
+
+def test_kron_reduce_q_takes_one_eigh(kernels):
+    kron_reduce_q(Q30, range(0, 30, 2))
     assert (kernels["svd"], kernels["eigh"]) == (0, 1)
 
 

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from resgeo import linalg
 from resgeo.errors import DegenerateBlockError, NumericError, ValidationError
 from resgeo.linalg import (
     centering_projector,
@@ -215,9 +216,11 @@ def test_laplacian_block_gate_is_never_weaker_than_kappa2(monkeypatch, seed):
         raise AssertionError("an M-matrix block was gated by SVD")
 
     monkeypatch.setattr(np.linalg, "cond", no_svd)
+    monkeypatch.setattr(linalg, "COND_LIMIT", kappa2 * (1.0 - 1e-12))
     with pytest.raises(DegenerateBlockError):
-        schur_complement(lap, keep, cond_limit=kappa2 * (1.0 - 1e-12))
-    schur_complement(lap, keep, cond_limit=elim.size * kappa2 * (1.0 + 1e-12))
+        schur_complement(lap, keep)
+    monkeypatch.setattr(linalg, "COND_LIMIT", elim.size * kappa2 * (1.0 + 1e-12))
+    schur_complement(lap, keep)
 
 
 def test_singular_z_block_raises_degenerate_not_linalg_error():
@@ -230,15 +233,16 @@ def test_singular_z_block_raises_degenerate_not_linalg_error():
         solve_conditioned(lap[:2, :2], np.ones(2), what="test system")
 
 
-def test_z_block_that_is_not_an_m_matrix_is_gated_by_svd():
+def test_z_block_that_is_not_an_m_matrix_is_gated_by_svd(monkeypatch):
     # [[1, -2], [-2, 1]] is a Z-matrix with inverse -[[1, 2], [2, 1]] / 3:
     # its ones-solutions are negative, so it is not an M-matrix, and its
     # kappa_2 = 3 is read by SVD; it passes the gate as before.  The
     # complement onto node 2 is 2 - (-1/3) = 7/3.
     a = np.array([[1.0, -2.0, 1.0], [-2.0, 1.0, 0.0], [1.0, 0.0, 2.0]])
     assert abs(schur_complement(a, [2])[0, 0] - 7.0 / 3.0) < 1e-14
+    monkeypatch.setattr(linalg, "COND_LIMIT", 2.9)
     with pytest.raises(DegenerateBlockError):
-        schur_complement(a, [2], cond_limit=2.9)
+        schur_complement(a, [2])
 
 
 def test_gate_overflow_is_refused_without_a_warning():

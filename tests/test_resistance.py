@@ -129,13 +129,31 @@ def test_classify_signed_is_strict_negative_type():
         assert label == "strict_negative_type"
 
 
+def _assert_witness_in_one_perp(w):
+    assert abs(w.sum()) < 1e-14
+    assert abs(np.linalg.norm(w) - 1.0) < 1e-14
+
+
 def test_classify_unit_square_negative_type_only():
     result = classify_metric(UNIT_SQUARE)
     assert result.label == "negative_type"
     w = result.witness
-    # the witness spans the extra kernel direction of the centered Gram
-    assert abs(w.sum()) < 1e-9
-    assert abs(np.linalg.norm(w) - 1.0) < 1e-12
+    # the witness spans the extra kernel direction of the centered Gram:
+    # G w = -1/2 J D w = 0, so D w is constant
+    _assert_witness_in_one_perp(w)
+    assert np.ptp(UNIT_SQUARE @ w) < 1e-14
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_negative_type_witness_of_euclidean_points(seed):
+    # Squared distances of 12 points in R^3: the Gram matrix has rank 3,
+    # so its kernel exceeds span(1) by 8 directions.
+    x = np.random.default_rng(seed).normal(size=(12, 3))
+    d = ((x[:, None, :] - x[None, :, :]) ** 2).sum(axis=2)
+    result = classify_metric(d)
+    assert result.label == "negative_type"
+    _assert_witness_in_one_perp(result.witness)
+    assert np.ptp(d @ result.witness) < 1e-12 * np.abs(d).max()
 
 
 def test_classify_not_negative_type_with_witness():
@@ -143,7 +161,7 @@ def test_classify_not_negative_type_with_witness():
     result = classify_metric(d)
     assert result.label == "not_negative_type"
     f = result.witness
-    assert abs(f.sum()) < 1e-9
+    _assert_witness_in_one_perp(f)
     assert f @ d @ f > 0.0
 
 
@@ -159,6 +177,18 @@ def test_q_from_distance_round_trip():
     q = random_class_q(5, rng, ensure_signed=True)
     omega = resistance_matrix_q(q).omega
     recovered = q_from_distance(omega)
+    scale = max(1.0, np.abs(q.matrix).max())
+    assert np.abs(recovered.matrix - q.matrix).max() < 1e-8 * scale
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_q_from_distance_round_trip_at_n300(seed):
+    # The Gram pseudoinverse is formed on 1-perp, so its rows sum to zero
+    # at roundoff in its entries.  From the full n x n eigh they summed to
+    # about eps cond, and validation refused 4 or 5 of these 5 draws
+    # (depending on the BLAS thread count).
+    q = random_class_q(300, np.random.default_rng(seed))
+    recovered = q_from_distance(resistance_matrix_q(q).omega)
     scale = max(1.0, np.abs(q.matrix).max())
     assert np.abs(recovered.matrix - q.matrix).max() < 1e-8 * scale
 

@@ -41,7 +41,6 @@ from .linalg import (
     normalize_indices,
     pseudoinverse,
     solve_conditioned,
-    svd,
     sym_eig,
 )
 
@@ -57,29 +56,19 @@ def _reached(matrix, seeds):
     An edge ``i -> j`` is an exactly nonzero off-diagonal entry
     ``matrix[i, j]`` (diagonal entries are self-loops and change nothing);
     pass ``matrix.T`` to get the nodes with a path into ``seeds`` instead.
-    Adjacency lists come from one ``nonzero`` over the flattened pattern
-    and are walked by a stack search, so after that one pass over the
-    matrix the cost is linear in nodes plus edges.  The search stops once
-    every node is marked, which on a dense graph is after the first row.
+    The search goes level by level: each step marks the unseen nodes that
+    an edge from the last level's nodes enters, so it takes as many steps
+    as the longest shortest path from ``seeds`` (one on a dense graph).
+    It stops when a level adds nothing or every node is marked.
     """
-    n = matrix.shape[0]
-    # Edge i -> j sits at flat index i * n + j, so rows are contiguous runs.
-    flat = (matrix != 0.0).ravel().nonzero()[0]
-    bounds = np.searchsorted(flat, np.arange(0, n * n + 1, n)).tolist()
-    cols = (flat % n).tolist()
-    seen = [False] * n
-    stack = [int(s) for s in seeds]
-    for s in stack:
-        seen[s] = True
-    unseen = seen.count(False)
-    while stack and unseen:
-        v = stack.pop()
-        for w in cols[bounds[v]:bounds[v + 1]]:
-            if not seen[w]:
-                seen[w] = True
-                unseen -= 1
-                stack.append(w)
-    return np.array(seen)
+    edges = matrix != 0.0
+    seen = np.zeros(matrix.shape[0], dtype=bool)
+    seen[seeds] = True
+    new = seen
+    while not seen.all() and new.any():
+        new = edges[new].any(axis=0) & ~seen
+        seen |= new
+    return seen
 
 
 class DirectedLaplacian:
@@ -323,16 +312,6 @@ def laplacian_from_edges(n, edges):
     return DirectedLaplacian(lap)
 
 
-def is_strongly_connected(lap: DirectedLaplacian) -> bool:
-    """Whether every node reaches every other along directed edges."""
-    return lap.strongly_connected
-
-
-def is_weight_balanced(lap: DirectedLaplacian) -> bool:
-    """Whether column sums vanish as well (in-weight equals out-weight)."""
-    return lap.weight_balanced
-
-
 @dataclass(frozen=True)
 class WeightBalancing:
     """Positive diagonal reweighting that balances a strongly connected graph.
@@ -354,14 +333,18 @@ def weight_balance(lap: DirectedLaplacian) -> WeightBalancing:
     return the same :class:`WeightBalancing`, whose ``balanced`` Laplacian
     in turn keeps its own factorizations.
 
+    ``m`` is the left null vector with ``m_0 = 1`` from one solve with the
+    grounded block ``L^T[1:, 1:]``, then scaled to ``sum(m) = n``.
+
     Raises
     ------
     StructureError
         If the graph is not strongly connected (the left null vector is
         then not unique or not positive).
     NumericError
-        If the numerical left null space is not one-dimensional or the
-        computed vector is not strictly positive.
+        If the grounded block is singular, an entry of ``m`` is not
+        positive, or a column sum of the balanced Laplacian exceeds
+        ``1e-10`` of its magnitude.
     """
     if lap._balancing is None:
         balancing = _balance(lap)
@@ -379,21 +362,23 @@ def _balance(lap):
     if n == 1:
         m = np.ones(1)
         return WeightBalancing(m=m, balanced=lap)
-    _, s, v = svd(lap.matrix.T)
-    if s[0] > 0 and s[-2] <= STRUCTURAL_TOL * s[0]:
+    # m^T L = 0 with m_0 = 1 grounds node 0: for a strongly connected graph
+    # the remaining block of L^T is a nonsingular M-matrix and the right
+    # side is nonnegative, so m > 0 with no rank decision.
+    lt = lap.matrix.T
+    m = np.ones(n)
+    try:
+        m[1:] = np.linalg.solve(lt[1:, 1:], -lt[1:, 0])
+    except np.linalg.LinAlgError:
         raise NumericError(
-            "left null space of the Laplacian is not one-dimensional "
-            f"(second-smallest singular value {s[-2]:.3e})"
-        )
-    null = v[:, -1]
-    if null.sum() < 0:
-        null = -null
-    if null.min() <= 1e-12 * null.max():
+            "grounded block of the transposed Laplacian is singular"
+        ) from None
+    if not m.min() > 0.0:
         raise NumericError(
             "computed left null vector is not strictly positive; "
-            f"minimum component {null.min():.3e}"
+            f"minimum component {m.min():.3e}"
         )
-    m = n * null / null.sum()
+    m = n * m / m.sum()
     balanced = DirectedLaplacian(m[:, None] * lap.matrix)
     colsum = np.abs(balanced.matrix.sum(axis=0)).max()
     if colsum > 1e-10 * _scale(balanced.matrix):
@@ -412,12 +397,6 @@ def is_reachable_subset(lap: DirectedLaplacian, alpha) -> bool:
     """
     kept = normalize_indices(alpha, lap.n, min_size=2, name="alpha")
     return bool(_reached(lap.matrix.T, kept).all())
-
-
-def symmetrized(lap: DirectedLaplacian) -> np.ndarray:
-    """Symmetric part ``(L + L^T) / 2`` as a plain array."""
-    m = lap.matrix
-    return (m + m.T) / 2.0
 
 
 def sym_pinv(lap: DirectedLaplacian) -> np.ndarray:

@@ -4,13 +4,13 @@ Everything downstream (pseudoinverse Laplacians, Kron reduction, resistance
 matrices) is built on the small set of operations here.  The conventions
 that the rest of the package relies on:
 
-* eigenvalues and singular values are returned in descending order;
+* eigenvalues are returned in descending order;
 * eigenvectors get a deterministic sign (the first component of
   significant magnitude is made positive), because ``embed`` coordinates
-  and ``classify_metric`` witnesses are outputs.  Singular vectors keep
-  LAPACK's signs: the pseudoinverse sums products ``v_k u_k^T``, which a
-  joint flip of ``u_k`` and ``v_k`` leaves exact, and the balancing
-  re-signs its null vector to a positive sum;
+  and ``classify_metric`` witnesses are outputs.  ``np.linalg.svd`` is
+  called only inside :func:`pseudoinverse`, which sums products
+  ``v_k u_k^T``; a joint flip of ``u_k`` and ``v_k`` leaves them exact, so
+  singular vectors keep LAPACK's signs;
 * pseudoinverse rank cuts use the relative tolerance
   ``max(m, n) * eps * sigma_max``;
 * pseudoinverses take one of two routes.  A symmetric matrix (``L_s^+``,
@@ -131,29 +131,20 @@ def sym_eig(a):
     return SymEig(values=w, vectors=v)
 
 
-def svd(a):
-    """Thin SVD ``a = u @ diag(s) @ v.T`` as ``(u, s, v)``, singular values
-    descending.  The signs of the singular vectors are LAPACK's; a failure
-    to converge raises :class:`NumericError`."""
+def pseudoinverse(a):
+    """Moore-Penrose pseudoinverse via SVD.
+
+    Singular values at or below ``max(m, n) * eps * sigma_max`` are treated
+    as zero.  An SVD that fails to converge raises :class:`NumericError`.
+    """
     m = as_matrix(a)
     try:
         u, s, vt = np.linalg.svd(m, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"SVD failed to converge: {exc}") from exc
-    return np.ascontiguousarray(u), s, np.ascontiguousarray(vt.T)
-
-
-def pseudoinverse(a):
-    """Moore-Penrose pseudoinverse via SVD.
-
-    Singular values at or below ``max(m, n) * eps * sigma_max`` are treated
-    as zero.
-    """
-    m = as_matrix(a)
-    u, s, v = svd(m)
     # With nothing kept the product has inner dimension 0 and is all zeros.
     keep = s > max(m.shape) * np.finfo(float).eps * s.max(initial=0.0)
-    return (v[:, keep] / s[keep]) @ u[:, keep].T
+    return (vt[keep].T / s[keep]) @ u[:, keep].T
 
 
 def schur_complement(a, keep):

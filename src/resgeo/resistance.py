@@ -175,10 +175,10 @@ class MetricClass:
 def classify_metric(distance) -> MetricClass:
     """Classify a squared-distance matrix by its centered Gram spectrum.
 
-    ``distance`` is a symmetric nonnegative matrix with zero diagonal
-    (entries are squared distances).  The ``n - 1`` eigenvalues of the
-    centered Gram matrix on ``1``-perp count as zero within the fixed
-    ``STRUCTURAL_TOL`` times the largest.  The label is
+    ``distance`` is a symmetric nonnegative matrix with zero diagonal over
+    at least two points (entries are squared distances).  The ``n - 1``
+    eigenvalues of the centered Gram matrix on ``1``-perp count as zero
+    within the fixed ``STRUCTURAL_TOL`` times the largest.  The label is
     ``not_negative_type`` if one is negative, ``negative_type`` if one is
     zero (the Gram kernel is larger than ``span(1)``), and otherwise
     ``strict_negative_type``, upgraded to ``resistance_metric`` when the
@@ -199,6 +199,8 @@ def _classify(distance):
     """
     d = as_square(distance, "distance")
     n = d.shape[0]
+    if n < 2:
+        raise ValidationError("distance matrix needs at least two points")
     scale = _scale(d)
     if np.abs(d - d.T).max(initial=0.0) > 1e-12 * scale:
         raise ValidationError("distance matrix must be symmetric")

@@ -122,11 +122,33 @@ def _shifted_pinv(rng, suite):
     )
 
 
+def _gth_balancing(lap):
+    """Balancing vector of a strongly connected Laplacian, ``sum(m) = n``,
+    by GTH elimination (Grassmann, Taksar & Heyman, Oper. Res. 33, 1985).
+
+    Nodes ``n-1, ..., 1`` are censored in turn.  Each pivot is the node's
+    outflow to the nodes still present, a sum of nonnegative weights, and
+    the update only adds nonnegative terms, so no step subtracts.  Back
+    substitution from ``m_0 = 1`` balances each node against the inflow
+    from the nodes before it."""
+    w = -lap.matrix
+    np.fill_diagonal(w, 0.0)
+    n = lap.n
+    for k in range(n - 1, 0, -1):
+        w[:k, k] /= w[k, :k].sum()
+        w[:k, :k] += np.outer(w[:k, k], w[k, :k])
+    m = np.ones(n)
+    for k in range(1, n):
+        m[k] = m[:k] @ w[:k, k]
+    return n * m / m.sum()
+
+
 def _weight_balance(rng, suite):
     n = suite.size(rng)
     lap = gen.random_sc_laplacian(n, rng)
     wb = gr.weight_balance(lap)
     residuals = [
+        np.abs(wb.m / _gth_balancing(lap) - 1.0).max(),
         abs(wb.m.sum() - n),
         np.abs(wb.balanced.matrix.sum(axis=0)).max(),
         0.0 if wb.m.min() > 0 else 1.0,

@@ -27,6 +27,7 @@ from resgeo.resistance import (
     resistance_matrix_sc,
     resistance_matrix_scwb,
 )
+from resgeo.verify import _gth_balancing
 
 SHOWCASE = DirectedLaplacian(np.array([
     [3.0, -1.0, -2.0, 0.0],
@@ -272,24 +273,40 @@ def test_sc_curvature_refuses_a_nonpositive_ones_form():
         curvature_radius_sc(lap)
 
 
-def test_spread_balancing_refuses_the_kernel_and_keeps_the_sc_pair():
-    # Balancing this digraph spreads m over 3.9e-10..25, and the balanced
-    # graph's K = (L_s^+)^+ comes out with row sums about ten times its
-    # largest entry.  The closed forms built on it must raise, not return
-    # a pair that is off by order one (sigma_b^2 6.3e6 against 1.2e7).
-    # The gated solve on the directed Omega (kappa_2 1.6e11) needs no K:
-    # a 60-digit reference gives sigma^2 and the largest entry of p below.
+def test_spread_balancing_gives_the_closed_form_pair_and_the_sc_pair():
+    # Balancing this digraph spreads m over 3.9e-10..25.  The closed form
+    # on the balanced graph (sigma_b^2 about 1.2e7) agrees with the gated
+    # solve on its Omega (kappa_2 5.3e8) to about eps * kappa_2.  Its
+    # K = (L_s^+)^+ has rows summing to 2e-8, which undirect's signed-class
+    # check refuses.  The gated solve on the directed Omega (kappa_2 1.6e11)
+    # needs no K: a 60-digit reference gives sigma^2 and the largest entry
+    # of p below.
     rng = np.random.default_rng([60, 1, 7])
     lap = unbalanced_digraph(60, rng, extra_edges=60,
                              weights=_log_uniform_weights)
     balanced = weight_balance(lap).balanced
-    for derive in (curvature_radius_scwb, verify_fiedler_bapat, undirect):
-        with pytest.raises(NumericError):
-            derive(balanced)
-    assert balanced._kernel is None
+    closed = curvature_radius_scwb(balanced)
+    omega = resistance_matrix_sc(balanced).omega
+    solved = curvature_radius_sc(balanced)
+    tol = np.finfo(float).eps * np.linalg.cond(omega)
+    assert np.abs(closed.p - solved.p).max() <= tol * np.abs(solved.p).max()
+    assert abs(closed.sigma2 - solved.sigma2) <= tol * solved.sigma2
+    with pytest.raises(NumericError):
+        undirect(balanced)
     cr = curvature_radius_sc(lap)
     assert abs(cr.sigma2 / 0.0175392872332831 - 1.0) <= 1e-5
     assert abs(cr.p[0] / 1.8348606644550438 - 1.0) <= 1e-5
+
+
+@pytest.mark.parametrize("n, seed", [(60, [60, 1, 7]), (60, [60, 3]),
+                                     (100, [100, 2, 30])])
+def test_balancing_matches_gth_on_spread_weights(n, seed):
+    # Log-uniform weights spread m over 8 to 11 decades.  GTH elimination
+    # subtracts nothing, so it is accurate entrywise and is the reference.
+    lap = unbalanced_digraph(n, np.random.default_rng(seed), extra_edges=n,
+                             weights=_log_uniform_weights)
+    m = weight_balance(lap).m
+    assert np.abs(m / _gth_balancing(lap) - 1.0).max() <= 1e-9
 
 
 @pytest.mark.parametrize("matrix", [

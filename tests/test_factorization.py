@@ -200,9 +200,16 @@ def test_unbalanced_object_balances_and_inverts_once(kernels):
     weight_balance(lap)
     resistance_matrix_sc(lap)
     curvature_radius_sc(lap)
-    # The SVD of L^T for the balancing, then of the balanced L for L_s^+;
-    # without the kept factorizations the three calls took five.
-    assert (kernels["svd"], kernels["eigh"]) == (2, 0)
+    # One grounded solve for the balancing and one SVD of the balanced L
+    # for L_s^+, both kept and read by the later calls.  The gated Omega
+    # solve of the curvature is one cond and one solve.
+    assert (kernels["svd"], kernels["eigh"]) == (1, 0)
+    assert (kernels["cond"], kernels["solve"]) == (1, 2)
+
+
+def test_balancing_is_one_solve(kernels):
+    weight_balance(DirectedLaplacian(SC20))
+    assert kernels == Counter(solve=1)
 
 
 def test_balanced_object_factors_once(kernels):

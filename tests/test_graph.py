@@ -9,12 +9,9 @@ from resgeo.graph import (
     DirectedLaplacian,
     SignedLaplacianQ,
     is_reachable_subset,
-    is_strongly_connected,
-    is_weight_balanced,
     laplacian_from_edges,
     pinv_via_shift,
     sym_pinv,
-    symmetrized,
     validate_class_q,
     weight_balance,
 )
@@ -37,8 +34,6 @@ def test_showcase_is_scwb():
     lap = DirectedLaplacian(SHOWCASE)
     assert lap.strongly_connected
     assert lap.weight_balanced
-    assert is_strongly_connected(lap)
-    assert is_weight_balanced(lap)
 
 
 def test_two_node_sc_not_wb():
@@ -188,11 +183,6 @@ def test_weight_balance_random_sc(seed, n):
     assert wb.m.min() > 0.0
     assert np.abs(wb.balanced.matrix.sum(axis=0)).max() < 1e-9
     assert wb.balanced.strongly_connected
-
-
-def test_symmetrized():
-    lap = DirectedLaplacian(TWO_NODE)
-    assert np.abs(symmetrized(lap) - np.array([[2.0, -1.5], [-1.5, 1.0]])).max() == 0.0
 
 
 def test_sym_pinv_requires_sc():

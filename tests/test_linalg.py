@@ -13,7 +13,6 @@ from resgeo.linalg import (
     schur_complement,
     schur_sequential,
     solve_conditioned,
-    svd,
     sym_eig,
 )
 
@@ -131,12 +130,6 @@ def test_pseudoinverse_of_zero_or_empty_is_zero_transposed(shape):
 def test_sym_eig_rejects_asymmetric():
     with pytest.raises(ValidationError):
         sym_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-
-def test_svd_reconstruction():
-    a = random_matrix(5, (4, 6))
-    u, s, v = svd(a)
-    assert np.abs(u @ np.diag(s) @ v.T - a).max() < 1e-10
 
 
 def test_schur_complement_reproduces_inverse_block():

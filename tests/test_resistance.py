@@ -172,6 +172,15 @@ def test_classify_rejects_malformed_distance():
         classify_metric(np.array([[1.0, 1.0], [1.0, 0.0]]))
 
 
+@pytest.mark.parametrize("n", [0, 1])
+@pytest.mark.parametrize("call", [classify_metric, q_from_distance])
+def test_distance_matrix_needs_two_points(call, n):
+    # No signed Laplacian has fewer than two nodes, so neither a label nor
+    # a recovered Q exists.
+    with pytest.raises(ValidationError, match="at least two points"):
+        call(np.zeros((n, n)))
+
+
 def test_q_from_distance_round_trip():
     rng = np.random.default_rng(23)
     q = random_class_q(5, rng, ensure_signed=True)

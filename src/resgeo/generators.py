@@ -13,6 +13,9 @@ from .errors import NumericError
 from .graph import DirectedLaplacian, SignedLaplacianQ, validate_class_q
 from .linalg import centering_projector, pseudoinverse
 
+#: Draws :func:`random_class_q` makes before it gives up.
+MAX_CLASS_Q_DRAWS = 64
+
 
 def _cycle_edges(order):
     return [(order[i], order[(i + 1) % len(order)]) for i in range(len(order))]
@@ -87,7 +90,7 @@ def random_unsigned_laplacian(n, rng, extra_edges=None):
     return SignedLaplacianQ(lap)
 
 
-def random_class_q(n, rng, ensure_signed=False, max_tries=64):
+def random_class_q(n, rng, ensure_signed=False):
     """Random signed Laplacian via a centered random Gram matrix.
 
     Draws a square factor ``H``, centers ``H^T H`` to get a PSD matrix
@@ -98,7 +101,7 @@ def random_class_q(n, rng, ensure_signed=False, max_tries=64):
     if n < 2:
         raise ValueError("need at least two nodes")
     j = centering_projector(n)
-    for _ in range(max_tries):
+    for _ in range(MAX_CLASS_Q_DRAWS):
         h = rng.normal(size=(n, n))
         gram = j @ (h.T @ h) @ j
         # The SVD candidate is kept on purpose: its roundoff asymmetry fails
@@ -115,7 +118,7 @@ def random_class_q(n, rng, ensure_signed=False, max_tries=64):
                 continue
         return report.laplacian
     raise NumericError(
-        f"failed to draw a valid signed Laplacian in {max_tries} tries"
+        f"failed to draw a valid signed Laplacian in {MAX_CLASS_Q_DRAWS} tries"
     )
 
 

@@ -2,11 +2,14 @@
 
 Reducing a Laplacian onto a kept node set ``alpha`` forms the Schur
 complement ``L[a, a] - L[a, e] L[e, e]^{-1} L[e, a]`` over the eliminated
-block ``e``.  For strongly connected graphs the result is again a directed
-Laplacian on the kept nodes; strong connectivity, weight balance, and
-effective resistances between kept nodes are preserved.  The structural
-precondition is that every eliminated node has a directed path into the
-kept set, which makes the eliminated block invertible.
+block ``e``.  The structural precondition is that every eliminated node
+has a directed path into the kept set, which makes the eliminated block a
+nonsingular M-matrix.  The result is then again a directed Laplacian on
+the kept nodes, and :func:`kron_reduce` builds it as one: the reduced
+edge weights are the complement's off-diagonal entries, and the diagonal
+is minus their row sums, so the diagonal's cancellation is never
+computed.  Strong connectivity, weight balance, and effective resistances
+between kept nodes are preserved.
 """
 
 from __future__ import annotations
@@ -17,12 +20,17 @@ import numpy as np
 
 from .errors import NumericError, StructureError, ValidationError
 from .graph import DirectedLaplacian, SignedLaplacianQ, _reached
-from .linalg import _scale, normalize_indices, schur_complement
+from .linalg import normalize_indices, schur_complement
 
 
 @dataclass(frozen=True)
 class PreservedFlags:
-    """Structural properties checked on the raw reduced matrix."""
+    """Structural properties of the reduced Laplacian.
+
+    ``row_sums_zero`` and ``offdiag_nonpos`` hold by construction, since
+    :func:`kron_reduce` builds the reduced matrix as a directed Laplacian;
+    ``weight_balanced`` and ``strongly_connected`` are read off it.
+    """
 
     row_sums_zero: bool
     offdiag_nonpos: bool
@@ -62,10 +70,8 @@ def kron_reduce(lap: DirectedLaplacian, keep) -> KronResult:
         If some eliminated node cannot reach the kept set; the message
         lists the unreachable nodes.
     DegenerateBlockError
-        If the eliminated block is numerically singular anyway.
-    NumericError
-        If the reduced matrix fails the checks of :class:`DirectedLaplacian`;
-        for a valid input that is a numerical breakdown.
+        If the eliminated block is numerically singular or ill-conditioned
+        anyway.
     """
     kept = normalize_indices(keep, lap.n, min_size=2)
     unreachable = np.flatnonzero(~_reached(lap.matrix.T, kept)).tolist()
@@ -74,26 +80,19 @@ def kron_reduce(lap: DirectedLaplacian, keep) -> KronResult:
             f"nodes {unreachable} have no directed path into the kept set "
             f"{kept.tolist()}; Kron reduction is undefined"
         )
-    raw = schur_complement(lap.matrix, kept)
-    scale = _scale(raw)
-    off = raw.copy()
+    # Every eliminated node reaches the kept set, so L[e, e] is a nonsingular
+    # M-matrix, which the gate of _gated_solve certifies from its solves.
+    # Then L[e, e]^{-1} >= 0, and with L[a, e], L[e, a] <= 0 the eliminated
+    # term L[a, e] L[e, e]^{-1} L[e, a] is >= 0 entrywise: every reduced
+    # off-diagonal entry is <= 0 up to the solve's roundoff, which the clamp
+    # removes.  Clamping in place keeps the sign of a -0.0 entry.
+    off = schur_complement(lap.matrix, kept)
     np.fill_diagonal(off, 0.0)
-    row_sums_zero = bool(np.abs(raw.sum(axis=1)).max() <= 1e-10 * scale)
-    offdiag_nonpos = bool(off.size == 0 or off.max() <= 1e-12 * scale)
-    # Roundoff can leave off-diagonal entries a hair above zero; clamp them
-    # so the result parses as a Laplacian.  Anything larger is a real
-    # positive entry and construction below will reject it.
-    clamped = raw.copy()
-    mask = (off > 0.0) & (off <= 1e-12 * scale)
-    clamped[mask] = 0.0
-    try:
-        reduced = DirectedLaplacian(clamped)
-    except ValidationError as exc:
-        raise NumericError(f"Kron reduction left the directed-Laplacian "
-                           f"class ({exc}): a numerical breakdown") from exc
+    off[off > 0.0] = 0.0
+    reduced = DirectedLaplacian(off - np.diag(off.sum(axis=1)))
     flags = PreservedFlags(
-        row_sums_zero=row_sums_zero,
-        offdiag_nonpos=offdiag_nonpos,
+        row_sums_zero=True,
+        offdiag_nonpos=True,
         weight_balanced=reduced.weight_balanced,
         strongly_connected=reduced.strongly_connected,
     )

@@ -176,31 +176,6 @@ def schur_complement(a, keep):
     return m[np.ix_(kept, kept)] - m[np.ix_(kept, elim)] @ x
 
 
-def schur_sequential(a, keep):
-    """Schur complement by repeated single-index elimination.
-
-    Mathematically identical to :func:`schur_complement` (the quotient
-    property of Schur complements); kept as an independent route so the two
-    can be cross-checked.  Eliminates indices one at a time in descending
-    order; a pivot of negligible magnitude raises naming the index.
-    """
-    m = as_square(a).copy()
-    n = m.shape[0]
-    kept = normalize_indices(keep, n)
-    remaining = list(range(n))
-    for node in sorted(set(range(n)) - set(kept.tolist()), reverse=True):
-        pos = remaining.index(node)
-        pivot = m[pos, pos]
-        if abs(pivot) <= 1e-13 * _scale(m):
-            raise DegenerateBlockError(
-                f"pivot for node {node} is negligible ({pivot:.3e})"
-            )
-        rest = [i for i in range(len(remaining)) if i != pos]
-        m = m[np.ix_(rest, rest)] - np.outer(m[rest, pos], m[pos, rest]) / pivot
-        del remaining[pos]
-    return m
-
-
 def inertia(s):
     """Signature of a symmetric matrix.
 

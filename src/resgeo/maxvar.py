@@ -59,6 +59,9 @@ INTERIOR_TOL = 1e-12
 #: Hard cap for exhaustive support enumeration (2^n faces).
 MAX_EXACT_NODES = 15
 
+#: Cap on the face solves of :func:`solve_maxvar`.
+MAX_FACE_SOLVES = 10000
+
 
 @dataclass(frozen=True)
 class MaxVarSolution:
@@ -232,16 +235,15 @@ def solve_maxvar_exact(omega) -> MaxVarSolution:
     )
 
 
-def solve_maxvar(omega, x0=None, max_iter=10000) -> MaxVarSolution:
+def solve_maxvar(omega) -> MaxVarSolution:
     """Maximizer by a primal active-set method over faces of the simplex.
 
-    Starts from ``x0`` (default: all mass on node 0) with its positive
-    entries as the support.  While the KKT check fails, the node of largest
-    gradient ``(Omega f)_j`` joins the support and the face is solved.  An
-    interior face point is accepted; otherwise ``f`` moves toward it until
-    the first entry at or below ``INTERIOR_TOL`` reaches zero, that node
-    leaves, and the face is solved again.  Strict concavity makes this
-    finite.  ``max_iter`` caps the number of face solves.  The KKT residual
+    Starts from all mass on node 0.  While the KKT check fails, the node of
+    largest gradient ``(Omega f)_j`` joins the support and the face is
+    solved.  An interior face point is accepted; otherwise ``f`` moves toward
+    it until the first entry at or below ``INTERIOR_TOL`` reaches zero, that
+    node leaves, and the face is solved again.  Strict concavity makes this
+    finite, and ``MAX_FACE_SOLVES`` caps the face solves.  The KKT residual
     is certified at ``1e-9`` relative to the magnitude of ``Omega``.
 
     Raises
@@ -251,8 +253,8 @@ def solve_maxvar(omega, x0=None, max_iter=10000) -> MaxVarSolution:
     NumericError
         If a face cannot be solved (not a valid resistance matrix).
     ConvergenceError
-        If ``max_iter`` face solves do not certify; carries the residual
-        history.
+        If ``MAX_FACE_SOLVES`` face solves do not certify; carries the
+        residual history.
     """
     om = _as_omega(omega)
     n = om.shape[0]
@@ -261,9 +263,8 @@ def solve_maxvar(omega, x0=None, max_iter=10000) -> MaxVarSolution:
                               kkt_residual=0.0, method="iterative")
     if np.abs(om).max() == 0.0:
         raise ValidationError("resistance matrix must be nonzero")
-    f = np.eye(1, n)[0] if x0 is None else _check_distribution(x0, n)
-    f = f / f.sum()
-    nodes = np.flatnonzero(f > 0.0)
+    f = np.eye(1, n)[0]
+    nodes = np.array([0])
     tol_cert = 1e-9 * _scale(om)
     history = []
     solves = 0
@@ -277,9 +278,9 @@ def solve_maxvar(omega, x0=None, max_iter=10000) -> MaxVarSolution:
                                   kkt_residual=history[-1], method="iterative")
         nodes = np.union1d(nodes, [np.argmax(g)])
         while True:
-            if solves == max_iter:
+            if solves == MAX_FACE_SOLVES:
                 raise ConvergenceError(
-                    f"no certified maximizer within {max_iter} face solves "
+                    f"no certified maximizer within {MAX_FACE_SOLVES} face solves "
                     f"(last residual {history[-1]:.3e})", history=history)
             solves += 1
             fv = _face_point(om, nodes)

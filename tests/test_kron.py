@@ -3,10 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from resgeo.cli import EXIT_NUMERIC, main
+from resgeo.cli import main
 from resgeo.errors import (
     DegenerateBlockError,
-    NumericError,
     StructureError,
     ValidationError,
 )
@@ -15,6 +14,7 @@ from resgeo.graph import DirectedLaplacian, laplacian_from_edges
 from resgeo.kron import kron_reduce, kron_reduce_q
 from resgeo.linalg import schur_complement
 from resgeo.resistance import effective_resistance_directed
+from resgeo.verify import _gth_kron
 
 SHOWCASE = DirectedLaplacian(np.array([
     [3.0, -1.0, -2.0, 0.0],
@@ -113,20 +113,37 @@ def _spread_weight_draw(seed):
     return adjacency, keep
 
 
-def test_breakdown_of_the_reduced_laplacian_is_numeric(tmp_path, capsys):
-    # n = 8, keeping 2 nodes: the Schur complement's rows sum to 6.9e-8 of
-    # its scale, past DirectedLaplacian's 1e-12.  The input is valid, so
-    # this is a numerical breakdown (CLI exit 2), not a validation error.
-    adjacency, keep = _spread_weight_draw(157)
+def _spread_weight_laplacian(seed):
+    adjacency, keep = _spread_weight_draw(seed)
     edges = [(i, j, adjacency[i, j]) for i, j in zip(*np.nonzero(adjacency))]
-    with pytest.raises(NumericError, match="Kron reduction"):
-        kron_reduce(laplacian_from_edges(len(adjacency), edges), keep)
+    return laplacian_from_edges(len(adjacency), edges), edges, keep
+
+
+def test_spread_weights_reduce_and_match_gth(tmp_path, capsys):
+    # Seed 157 (n = 8, keeping 2 nodes): the raw Schur complement's rows sum
+    # to 6.9e-8 of its scale.  The reduced Laplacian is built from its
+    # off-diagonal entries, so it reduces, and the CLI reports it.
+    lap, edges, keep = _spread_weight_laplacian(157)
+    kron_reduce(lap, keep)
     path = tmp_path / "spread.edges"
     path.write_text("".join(f"{i + 1} {j + 1} {w:.17g}\n" for i, j, w in edges))
     code = main(["kron", str(path), "--keep", ",".join(str(k + 1) for k in keep)])
     report = json.loads(capsys.readouterr().out)
-    assert code == EXIT_NUMERIC
-    assert report["error"]["type"] == "NumericError"
+    assert code == 0, report
+    assert report["outputs"]["preserved"]["strongly_connected"]
+    # Over the whole population only seed 27's eliminated block is refused,
+    # by the condition gate; every other draw agrees with GTH elimination.
+    refused = []
+    for seed in range(300):
+        lap, _, keep = _spread_weight_laplacian(seed)
+        try:
+            reduced = kron_reduce(lap, keep).reduced.matrix
+        except DegenerateBlockError:
+            refused.append(seed)
+            continue
+        gth = _gth_kron(lap, keep)
+        assert np.abs(reduced - gth).max() <= 1e-9 * np.abs(gth).max(), seed
+    assert refused == [27]
 
 
 def test_keep_needs_two_nodes():

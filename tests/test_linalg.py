@@ -11,7 +11,6 @@ from resgeo.linalg import (
     normalize_indices,
     pseudoinverse,
     schur_complement,
-    schur_sequential,
     solve_conditioned,
     sym_eig,
 )
@@ -142,14 +141,6 @@ def test_schur_complement_reproduces_inverse_block():
     assert np.abs(red - expected).max() < 1e-9
 
 
-def test_schur_block_matches_sequential():
-    a = random_matrix(13, (7, 7)) + 7.0 * np.eye(7)
-    keep = [1, 3, 4]
-    block = schur_complement(a, keep)
-    seq = schur_sequential(a, keep)
-    assert np.abs(block - seq).max() < 1e-9
-
-
 def test_schur_full_keep_is_copy():
     a = random_matrix(17, (4, 4))
     red = schur_complement(a, range(4))
@@ -164,7 +155,6 @@ def test_schur_small_oracles():
     cycle = np.array([[1.0, -1.0, 0.0], [0.0, 1.0, -1.0], [-1.0, 0.0, 1.0]])
     expected = np.array([[1.0, -1.0], [-1.0, 1.0]])
     assert np.abs(schur_complement(cycle, [0, 1]) - expected).max() < 1e-15
-    assert np.abs(schur_sequential(cycle, [0, 1]) - expected).max() < 1e-15
 
 
 def test_schur_singular_block_raises():
@@ -172,8 +162,6 @@ def test_schur_singular_block_raises():
     a[0, 0] = 1.0
     with pytest.raises(DegenerateBlockError):
         schur_complement(a, [0])
-    with pytest.raises(DegenerateBlockError):
-        schur_sequential(a, [0])
 
 
 def _wide_weight_laplacian(n, rng):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from resgeo import maxvar
 from resgeo.errors import CapacityError, ConvergenceError, ValidationError
 from resgeo.generators import random_class_q, random_unsigned_laplacian
 from resgeo.graph import SignedLaplacianQ
@@ -101,22 +102,15 @@ def test_solvers_agree_on_random_instances():
         assert report.passed, (report.curvature_residual, report.value_residual)
 
 
-def test_solve_with_warm_start():
-    # Every start but the first holds the middle node the optimum drops;
-    # the last two miss a node of the optimum as well.
-    for x0 in ([0.4, 0.2, 0.4], [0.2, 0.6, 0.2], [0.0, 1.0, 0.0], [0.0, 0.5, 0.5]):
-        sol = solve_maxvar(P3_OMEGA, x0=x0)
-        assert sol.support.tolist() == [0, 2]
-        assert abs(sol.value - 0.5) < 1e-12
-
-
-def test_face_solve_cap_raises_with_history():
+def test_face_solve_cap_raises_with_history(monkeypatch):
     # The triangle needs two face solves from a vertex: {0, 1}, then all.
+    monkeypatch.setattr(maxvar, "MAX_FACE_SOLVES", 1)
     with pytest.raises(ConvergenceError) as info:
-        solve_maxvar(K3_OMEGA, max_iter=1)
+        solve_maxvar(K3_OMEGA)
     assert len(info.value.history) > 0
     assert info.value.history[-1] > 0.0
-    assert solve_maxvar(K3_OMEGA, max_iter=2).support.tolist() == [0, 1, 2]
+    monkeypatch.setattr(maxvar, "MAX_FACE_SOLVES", 2)
+    assert solve_maxvar(K3_OMEGA).support.tolist() == [0, 1, 2]
 
 
 def test_zero_omega_rejected():

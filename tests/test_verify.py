@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from resgeo import kron, verify
 from resgeo.generators import (
     random_class_q,
     random_keep,
@@ -8,6 +9,7 @@ from resgeo.generators import (
     random_scwb_laplacian,
     random_unsigned_laplacian,
 )
+from resgeo.graph import DirectedLaplacian
 from resgeo.verify import run_verification
 
 
@@ -92,3 +94,49 @@ def test_inertia_congruence_passes_on_the_suites_it_failed(seed):
     # under inertia's 1e-9 relative zero cut.
     for r in run_verification(seed, 10, 12):
         assert r.passed, f"{r.name}: {r.max_residual} > {r.threshold}"
+
+
+def test_kron_vs_gth_rejects_a_planted_error(monkeypatch):
+    # Only this property: the others need the reduction to stay balanced.
+    monkeypatch.setattr(verify, "_PROPERTIES", [
+        p for p in verify._PROPERTIES if p[0] == "kron_vs_gth"])
+
+    def _kron_vs_gth(seed):
+        [result] = run_verification(seed, cases=5, n_max=12)
+        return result
+
+    assert _kron_vs_gth(3).passed
+    exact = kron.kron_reduce
+
+    def perturbed(lap, keep):
+        result = exact(lap, keep)
+        off = result.reduced.matrix.copy()
+        np.fill_diagonal(off, 0.0)
+        i, j = np.argwhere(off != 0.0)[0]
+        off[i, j] *= 1.0 + 1e-8
+        reduced = DirectedLaplacian(off - np.diag(off.sum(axis=1)))
+        return kron.KronResult(reduced=reduced, kept=result.kept,
+                               preserved=result.preserved)
+
+    monkeypatch.setattr(kron, "kron_reduce", perturbed)
+    planted = _kron_vs_gth(3)
+    assert not planted.passed
+    assert planted.max_residual > 5e-9
+
+
+def _benchmark_suite_seeds():
+    """The suite seeds that the benchmark's verify-suite workload runs for
+    workload seeds 1-20, eight per workload seed."""
+    return [int(np.random.SeedSequence([seed, k]).generate_state(1)[0])
+            for seed in range(1, 21) for k in range(8)]
+
+
+@pytest.mark.large
+def test_verify_scan_has_no_failing_suite():
+    failed = {}
+    for seed in [*range(1, 301), *_benchmark_suite_seeds()]:
+        bad = [r.name for r in run_verification(seed, cases=10, n_max=12)
+               if not r.passed]
+        if bad:
+            failed[seed] = bad
+    assert not failed

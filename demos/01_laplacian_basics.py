@@ -10,7 +10,6 @@ import numpy as np
 from resgeo import (
     DirectedLaplacian,
     laplacian_from_edges,
-    pinv_via_shift,
     pseudoinverse,
     weight_balance,
 )
@@ -57,7 +56,8 @@ print("balancing a balanced graph: m =", already.m)
 banner("pseudoinverse via a rank-one shift")
 # for balanced graphs L + (gamma/n) 1 1^T is invertible and its inverse
 # differs from the pseudoinverse by a known rank-one term, for any gamma
+ones = np.full((lap.n, lap.n), 1.0 / lap.n)
 for gamma in (1.0, -5.0):
-    gap = np.abs(pinv_via_shift(lap, gamma=gamma)
-                 - pseudoinverse(lap.matrix)).max()
+    shifted = np.linalg.inv(lap.matrix + gamma * ones) - ones / gamma
+    gap = np.abs(shifted - pseudoinverse(lap.matrix)).max()
     print(f"gamma = {gamma:+.0f}: agreement with the SVD route {gap:.2e}")

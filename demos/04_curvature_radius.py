@@ -20,7 +20,7 @@ from resgeo import (
     reduce_curvature_radius,
     resistance_matrix_sc,
     resistance_matrix_scwb,
-    sigma2_subset,
+    subset_curvature_radius,
     undirect,
     verify_fiedler_bapat,
     wb_transform,
@@ -72,8 +72,12 @@ print("update formula:", reduced.p, reduced.sigma2)
 print("from scratch:  ", direct.p, direct.sigma2)
 
 banner("the radius as a set function")
-for subset in ([2], [1, 2], [0, 1, 2], [0, 1, 2, 3]):
-    print(f"sigma^2({subset}) = {sigma2_subset(lap, subset):.4f}")
+# a pair's squared radius is a quarter of its resistance, and the radius
+# grows with the set
+for subset in ([1, 2], [0, 1, 2], [0, 1, 2, 3]):
+    sigma2 = subset_curvature_radius(omega, subset).sigma2
+    print(f"sigma^2({subset}) = {sigma2:.4f}")
+print(f"Omega[1, 2] / 4  = {omega[1, 2] / 4:.4f}")
 
 banner("unbalanced graphs, through the balancing vector")
 two = laplacian_from_edges(2, [(0, 1, 2.0), (1, 0, 1.0)])

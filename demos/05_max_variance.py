@@ -12,13 +12,12 @@ import numpy as np
 
 from resgeo import (
     characterize,
-    find_negative_curvature_support_instance,
+    curvature_radius_q,
     random_class_q,
     resistance_matrix_q,
     SignedLaplacianQ,
     solve_maxvar,
     solve_maxvar_exact,
-    subset_curvature_radius,
     variance,
     verify_kkt,
 )
@@ -62,10 +61,20 @@ print("supports:", exact.support, "vs", iterative.support)
 print("values:  ", exact.value, "vs", iterative.value)
 
 banner("negative curvature inside an optimal support")
-found = find_negative_curvature_support_instance(5, seed=0)
-whole = subset_curvature_radius(resistance_matrix_q(found.q), range(5))
-print(f"found after {found.attempts_used} random signed draws")
-print("whole-graph curvature:", whole.p)
-print("optimal support:      ", found.solution.support)
-print(f"node {found.node} sits in the support with curvature "
-      f"{found.curvature_value:.4f} < 0")
+# draw signed Laplacians until an optimal support holds a node whose
+# whole-graph curvature is negative
+rng = np.random.default_rng(0)
+for attempt in range(1, 1001):
+    q = random_class_q(5, rng, ensure_signed=True)
+    whole = curvature_radius_q(q).p
+    sol = solve_maxvar_exact(resistance_matrix_q(q))
+    negative = [int(i) for i in sol.support if whole[i] < -1e-10]
+    if negative:
+        break
+else:
+    raise SystemExit("no draw put negative curvature in its optimal support")
+print(f"found after {attempt} random signed draws")
+print("whole-graph curvature:", whole)
+print("optimal support:      ", sol.support)
+print(f"node {negative[0]} sits in the support with curvature "
+      f"{whole[negative[0]]:.4f} < 0")

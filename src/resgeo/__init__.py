@@ -20,7 +20,6 @@ from .curvature import (
     curvature_radius_sc,
     curvature_radius_scwb,
     reduce_curvature_radius,
-    sigma2_subset,
     subset_curvature_radius,
     undirect,
     verify_fiedler_bapat,
@@ -54,15 +53,12 @@ from .generators import (
     random_unsigned_laplacian,
 )
 from .graph import (
-    ClassQReport,
     DirectedLaplacian,
     SignedLaplacianQ,
     WeightBalancing,
     is_reachable_subset,
     laplacian_from_edges,
-    pinv_via_shift,
     sym_pinv,
-    validate_class_q,
     weight_balance,
 )
 from .kron import KronResult, PreservedFlags, kron_reduce, kron_reduce_q
@@ -78,9 +74,7 @@ from .maxvar import (
     CharacterizationReport,
     KktCheck,
     MaxVarSolution,
-    NegativeCurvatureInstance,
     characterize,
-    find_negative_curvature_support_instance,
     solve_maxvar,
     solve_maxvar_exact,
     variance,
@@ -105,7 +99,6 @@ __all__ = [
     "AngleCheck",
     "CapacityError",
     "CharacterizationReport",
-    "ClassQReport",
     "CommutativityCheck",
     "ConvergenceError",
     "CurvatureRadius",
@@ -120,7 +113,6 @@ __all__ = [
     "MaxVarSolution",
     "MetricClass",
     "MetricClassificationError",
-    "NegativeCurvatureInstance",
     "NoncommutativityWitness",
     "NumericError",
     "PreservedFlags",
@@ -143,13 +135,11 @@ __all__ = [
     "effective_resistance_directed",
     "embed",
     "export_coordinates",
-    "find_negative_curvature_support_instance",
     "inertia",
     "is_reachable_subset",
     "kron_reduce",
     "kron_reduce_q",
     "laplacian_from_edges",
-    "pinv_via_shift",
     "pseudoinverse",
     "q_from_distance",
     "random_class_q",
@@ -164,7 +154,6 @@ __all__ = [
     "resistance_matrix_scwb",
     "run_verification",
     "schur_complement",
-    "sigma2_subset",
     "simplex_geometry",
     "solve_maxvar",
     "solve_maxvar_exact",
@@ -172,7 +161,6 @@ __all__ = [
     "sym_eig",
     "sym_pinv",
     "undirect",
-    "validate_class_q",
     "variance",
     "verify_angles_geometric",
     "verify_fiedler_bapat",

@@ -44,9 +44,8 @@ from .graph import (
     DirectedLaplacian,
     EdgeError,
     SignedLaplacianQ,
+    _classify_q,
     laplacian_from_edges,
-    pinv_via_shift,
-    validate_class_q,
     weight_balance,
 )
 from .kron import kron_reduce, kron_reduce_q
@@ -58,7 +57,7 @@ from .resistance import (
     resistance_matrix_sc,
     resistance_matrix_scwb,
 )
-from .verify import run_verification
+from .verify import _pinv_via_shift, run_verification
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -232,19 +231,19 @@ def _cmd_check(args):
     # Q is exactly symmetric, so its kept eigh is that of (Q + Q^T) / 2.
     spectrum = (sym_eig((matrix + matrix.T) / 2.0).values if directed
                 else g.eig.values)
-    report_q = validate_class_q(matrix)
+    failure, details, _ = _classify_q(matrix)
     outputs = {
         "n": g.n,
         "input_kind": "directed" if directed else "class_q",
         "strongly_connected": g.strongly_connected if directed else None,
         "weight_balanced": g.weight_balanced if directed else None,
-        "class_q": {"ok": report_q.ok, "failure": report_q.failure,
-                    "details": report_q.details},
+        "class_q": {"ok": failure is None, "failure": failure,
+                    "details": details},
         "symmetric_spectrum": spectrum,
     }
     residuals = {"row_sum_max": float(np.abs(matrix.sum(axis=1)).max())}
     if directed and g.strongly_connected and g.weight_balanced:
-        shift = pinv_via_shift(g, gamma=args.gamma)
+        shift = _pinv_via_shift(g)
         residuals["shifted_pinv"] = float(
             np.abs(shift - pseudoinverse(matrix)).max()
         )
@@ -446,9 +445,7 @@ def build_parser():
         return p
 
     add("check", _cmd_check,
-        "structure report: connectivity, balance, class membership"
-        ).add_argument("--gamma", type=float, default=1.0,
-                       help="shift for the rank-one pseudoinverse cross-check")
+        "structure report: connectivity, balance, class membership")
     p_kron = add("kron", _cmd_kron, "Kron reduction onto kept nodes")
     p_kron.add_argument("--keep", required=True,
                         help="comma-separated 1-based node ids to keep")
@@ -492,8 +489,8 @@ def main(argv=None):
 
 def _echo_inputs(args):
     echo = {}
-    for key in ("input", "keep", "as_laplacian", "gamma", "seed", "cases",
-                "n_max", "out"):
+    for key in ("input", "keep", "as_laplacian", "seed", "cases", "n_max",
+                "out"):
         if hasattr(args, key):
             echo[key] = getattr(args, key)
     return echo

@@ -40,10 +40,10 @@ from .errors import NumericError, StructureError, ValidationError
 from .graph import (
     DirectedLaplacian,
     SignedLaplacianQ,
+    _classify_q,
     _shared_kernel,
     _shared_sym_pinv,
     sym_pinv,
-    validate_class_q,
 )
 from .kron import kron_reduce
 from .linalg import (
@@ -57,7 +57,6 @@ from .resistance import (
     ResistanceMatrix,
     _omega_from_kernel,
     resistance_matrix_sc,
-    resistance_matrix_scwb,
 )
 
 #: Residual threshold for the identity checks below.
@@ -148,15 +147,16 @@ def undirect(lap: DirectedLaplacian) -> SignedLaplacianQ:
     come out negative, which is exactly why the signed class is needed.
     """
     _require_scwb(lap)
-    # validate_class_q factors K twice where SignedLaplacianQ would once;
-    # the benchmark's tracer test pins undirect at two eigh calls.
-    report = validate_class_q(_shared_kernel(lap))
-    if not report.ok:
+    # Checking K apart from building Q factors it twice where the
+    # constructor alone would once; the benchmark's tracer test pins
+    # undirect at two eigh calls on a fresh object.
+    failure, _, checked = _classify_q(_shared_kernel(lap))
+    if failure is not None:
         raise NumericError(
-            f"undirected image failed validation ({report.failure}); "
+            f"undirected image failed validation ({failure}); "
             "this indicates a numerical breakdown"
         )
-    return report.laplacian
+    return SignedLaplacianQ(checked[0])
 
 
 def _require_scwb(lap):
@@ -321,18 +321,6 @@ def reduce_curvature_radius(lap: DirectedLaplacian, keep) -> CurvatureRadius:
     p_red = p[kept] - kernel[np.ix_(kept, elim)] @ y
     sigma2_red = sigma2 - float(p[elim] @ y)
     return CurvatureRadius(p=p_red, sigma2=sigma2_red, zeta=None)
-
-
-def sigma2_subset(lap: DirectedLaplacian, subset) -> float:
-    """Squared resistance radius of a node subset of an SCWB graph.
-
-    The empty set and singletons have radius zero; pairs give a quarter of
-    the effective resistance; the function is monotone under inclusion.
-    """
-    sub = normalize_indices(subset, lap.n, min_size=0, name="subset")
-    if sub.size <= 1:
-        return 0.0
-    return subset_curvature_radius(resistance_matrix_scwb(lap), sub).sigma2
 
 
 def curvature_radius_q(q: SignedLaplacianQ, subset=None) -> CurvatureRadius:

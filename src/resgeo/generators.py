@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import NumericError
-from .graph import DirectedLaplacian, SignedLaplacianQ, validate_class_q
+from .errors import NumericError, ValidationError
+from .graph import DirectedLaplacian, SignedLaplacianQ
 from .linalg import centering_projector, pseudoinverse
 
 #: Draws :func:`random_class_q` makes before it gives up.
@@ -108,15 +108,16 @@ def random_class_q(n, rng, ensure_signed=False):
         # the class check on the worst-conditioned draws (about 0.2% at
         # n <= 12), on which the verify suite's absolute thresholds fail.
         candidate = pseudoinverse((gram + gram.T) / 2.0)
-        report = validate_class_q(candidate)
-        if not report.ok:
+        try:
+            q = SignedLaplacianQ(candidate)
+        except ValidationError:
             continue
         if ensure_signed:
-            off = report.laplacian.matrix.copy()
+            off = q.matrix.copy()
             np.fill_diagonal(off, 0.0)
             if off.max() <= 1e-8:
                 continue
-        return report.laplacian
+        return q
     raise NumericError(
         f"failed to draw a valid signed Laplacian in {MAX_CLASS_Q_DRAWS} tries"
     )

@@ -29,7 +29,7 @@ kept arrays are read-only; :func:`sym_pinv` hands out a writable copy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,7 +40,6 @@ from .linalg import (
     as_square,
     normalize_indices,
     pseudoinverse,
-    solve_conditioned,
     sym_eig,
 )
 
@@ -168,28 +167,16 @@ class SignedLaplacianQ:
         return f"SignedLaplacianQ(n={self.n}, {kind})"
 
 
-@dataclass(frozen=True)
-class ClassQReport:
-    """Outcome of signed-Laplacian validation.
-
-    ``failure`` is ``None`` on success, otherwise one of the reason strings
-    produced by the checks (asymmetry, nonzero row sums, indefiniteness,
-    oversized kernel, nonpositive diagonal).  ``details`` holds the
-    residuals that drove the verdict.
-    """
-
-    ok: bool
-    failure: str | None
-    laplacian: SignedLaplacianQ | None
-    details: dict = field(default_factory=dict)
-
-
 def _classify_q(matrix):
-    """Shared checks behind ``SignedLaplacianQ`` and ``validate_class_q``.
+    """Signed-Laplacian class checks, behind ``SignedLaplacianQ``.
 
-    Returns ``(failure, details, checked)`` where ``checked`` is the pair
-    of the symmetrized matrix with recomputed diagonal and its
-    eigendecomposition (``None`` on failure).
+    Returns ``(failure, details, checked)``.  ``failure`` is ``None`` on
+    success, otherwise the reason string of the first check that fails
+    (asymmetry, nonzero row sums, indefiniteness, oversized kernel,
+    nonpositive diagonal).  ``details`` holds the residuals behind the
+    verdict, and ``checked`` is the pair of the symmetrized matrix with
+    recomputed diagonal and its eigendecomposition (``None`` on failure).
+    Callers that report a failure rather than raise read it from here.
     """
     try:
         m = as_square(matrix, "matrix")
@@ -233,22 +220,6 @@ def _classify_q(matrix):
     if dmin <= 0.0:
         return f"diagonal entry {dmin:.3e} is not positive", details, None
     return None, details, (cleaned, eig)
-
-
-def validate_class_q(matrix):
-    """Check membership in the signed-Laplacian class without raising.
-
-    All failures are reported through :class:`ClassQReport`; on success the
-    report carries the constructed :class:`SignedLaplacianQ`, whose
-    construction factors the matrix a second time.
-    """
-    failure, details, checked = _classify_q(matrix)
-    if failure is not None:
-        return ClassQReport(ok=False, failure=failure, laplacian=None,
-                            details=details)
-    return ClassQReport(ok=True, failure=None,
-                        laplacian=SignedLaplacianQ(checked[0]),
-                        details=details)
 
 
 class EdgeError(ValidationError):
@@ -445,24 +416,3 @@ def _shared_kernel(lap):
         kernel.setflags(write=False)
         lap._kernel = kernel
     return lap._kernel
-
-
-def pinv_via_shift(lap: DirectedLaplacian, gamma=1.0) -> np.ndarray:
-    """Pseudoinverse of a balanced Laplacian through a rank-one shift.
-
-    For strongly connected weight-balanced graphs and any ``gamma != 0``,
-    ``L^+ = (L + (gamma/n) 11^T)^{-1} - (1/(n*gamma)) 11^T``.  Serves as an
-    independent route to cross-check the SVD pseudoinverse.
-    """
-    if gamma == 0.0:
-        raise ValidationError("gamma must be nonzero")
-    if not (lap.strongly_connected and lap.weight_balanced):
-        raise StructureError(
-            "the rank-one shift identity requires a strongly connected "
-            "weight-balanced graph"
-        )
-    n = lap.n
-    ones = np.full((n, n), 1.0 / n)
-    shifted = lap.matrix + gamma * ones
-    inv = solve_conditioned(shifted, np.eye(n), what="shifted Laplacian")
-    return inv - ones / gamma

@@ -18,10 +18,10 @@ that reach zero, ends at the maximizer.
 
 For unsigned graphs every support node has positive whole-graph
 curvature, so greedily discarding negative-curvature nodes is sound; for
-signed Laplacians that heuristic fails, and
-:func:`find_negative_curvature_support_instance` searches random signed
-instances for a certified counterexample: an optimal support containing a
-node of negative whole-graph curvature.
+signed Laplacians that heuristic fails: an optimal support can contain a
+node of negative whole-graph curvature.  Both solvers certify a
+maximizer against the largest entry of ``Omega``, so scaling ``Omega``
+scales the value and leaves the support and ``f`` as they were.
 """
 
 from __future__ import annotations
@@ -31,19 +31,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curvature import (
-    IDENTITY_TOL,
-    CurvatureRadius,
-    curvature_radius_q,
-    subset_curvature_radius,
-)
+from .curvature import IDENTITY_TOL, CurvatureRadius, subset_curvature_radius
 from .errors import (
     CapacityError,
     ConvergenceError,
     NumericError,
     ValidationError,
 )
-from .generators import random_class_q
 from .graph import DirectedLaplacian, SignedLaplacianQ
 from .linalg import _scale, as_square
 from .resistance import (
@@ -101,18 +95,6 @@ class CharacterizationReport:
         return max(self.curvature_residual, self.value_residual) <= IDENTITY_TOL
 
 
-@dataclass(frozen=True)
-class NegativeCurvatureInstance:
-    """A signed instance whose optimal support holds a node of negative
-    whole-graph curvature (with the certified solution as evidence)."""
-
-    q: SignedLaplacianQ
-    solution: MaxVarSolution
-    node: int
-    curvature_value: float
-    attempts_used: int
-
-
 def _as_omega(omega):
     m = omega.omega if isinstance(omega, ResistanceMatrix) else as_square(omega)
     if np.abs(m - m.T).max(initial=0.0) > 1e-9 * _scale(m):
@@ -146,7 +128,8 @@ def verify_kkt(omega, f) -> KktCheck:
     The residual is ``max_j (Omega f)_j - min_{i in supp f} (Omega f)_i``
     clipped at zero: it vanishes exactly when the gradient is constant on
     the support and no larger elsewhere.  It passes at the solvers'
-    ``1e-9`` relative to the magnitude of ``Omega``.
+    ``1e-9`` of the largest entry of ``|Omega|``, with no floor, so the
+    verdict does not change when ``Omega`` is scaled.
     """
     om = _as_omega(omega)
     v = _check_distribution(f, om.shape[0])
@@ -154,8 +137,8 @@ def verify_kkt(omega, f) -> KktCheck:
     if support.size == 0:
         raise ValidationError("distribution has empty support")
     residual = _kkt_residual(om @ v, support)
-    return KktCheck(ok=residual <= 1e-9 * _scale(om), residual=residual,
-                    support=support)
+    return KktCheck(ok=residual <= 1e-9 * np.abs(om).max(),
+                    residual=residual, support=support)
 
 
 def _kkt_residual(g, support):
@@ -178,7 +161,7 @@ def _face_point(om, nodes):
     except np.linalg.LinAlgError:
         return None
     total = x.sum()
-    if not np.all(np.isfinite(x)) or total <= 1e-14:
+    if not np.all(np.isfinite(x)) or total <= 0.0:
         return None
     return x / total
 
@@ -219,7 +202,7 @@ def solve_maxvar_exact(omega) -> MaxVarSolution:
     if n == 1:
         return MaxVarSolution(f=np.ones(1), support=np.array([0]), value=0.0,
                               kkt_residual=0.0, method="exact")
-    tol_cert = 1e-9 * _scale(om)
+    tol_cert = 1e-9 * np.abs(om).max()
     for size in range(n, 1, -1):
         for nodes in itertools.combinations(range(n), size):
             nodes = np.array(nodes)
@@ -244,7 +227,7 @@ def solve_maxvar(omega) -> MaxVarSolution:
     it until the first entry at or below ``INTERIOR_TOL`` reaches zero, that
     node leaves, and the face is solved again.  Strict concavity makes this
     finite, and ``MAX_FACE_SOLVES`` caps the face solves.  The KKT residual
-    is certified at ``1e-9`` relative to the magnitude of ``Omega``.
+    is certified at ``1e-9`` of the largest entry of ``|Omega|``.
 
     Raises
     ------
@@ -261,11 +244,12 @@ def solve_maxvar(omega) -> MaxVarSolution:
     if n == 1:
         return MaxVarSolution(f=np.ones(1), support=np.array([0]), value=0.0,
                               kkt_residual=0.0, method="iterative")
-    if np.abs(om).max() == 0.0:
+    peak = np.abs(om).max()
+    if peak == 0.0:
         raise ValidationError("resistance matrix must be nonzero")
     f = np.eye(1, n)[0]
     nodes = np.array([0])
-    tol_cert = 1e-9 * _scale(om)
+    tol_cert = 1e-9 * peak
     history = []
     solves = 0
     while True:
@@ -329,34 +313,3 @@ def characterize(solution: MaxVarSolution, source) -> CharacterizationReport:
         curvature_residual=curvature_residual,
         value_residual=value_residual,
     )
-
-
-def find_negative_curvature_support_instance(
-    n, seed=0, attempts=100000
-) -> NegativeCurvatureInstance | None:
-    """Search for an optimal support containing negative curvature.
-
-    Draws random signed Laplacians until one has a certified maximizer
-    whose support includes a node with negative whole-graph curvature
-    (below ``-1e-10``).  Returns ``None`` if the budget is exhausted,
-    which for sizes 4 to 6 and default seeds does not happen in practice.
-    """
-    if not 4 <= n <= 12:
-        raise ValidationError(f"search size must be in [4, 12], got {n}")
-    rng = np.random.default_rng(seed)
-    for attempt in range(1, attempts + 1):
-        q = random_class_q(n, rng, ensure_signed=True)
-        whole = curvature_radius_q(q)
-        if whole.p.min() >= -1e-10:
-            continue
-        solution = solve_maxvar_exact(resistance_matrix_q(q))
-        negative = [int(i) for i in solution.support if whole.p[i] < -1e-10]
-        if negative:
-            return NegativeCurvatureInstance(
-                q=q,
-                solution=solution,
-                node=negative[0],
-                curvature_value=float(whole.p[negative[0]]),
-                attempts_used=attempt,
-            )
-    return None

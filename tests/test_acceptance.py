@@ -12,6 +12,7 @@ import pytest
 
 from resgeo.curvature import (
     check_commutativity,
+    curvature_radius_q,
     curvature_radius_scwb,
     subset_curvature_radius,
     undirect,
@@ -29,7 +30,6 @@ from resgeo.kron import kron_reduce
 from resgeo.linalg import inertia, pseudoinverse, schur_complement
 from resgeo.maxvar import (
     characterize,
-    find_negative_curvature_support_instance,
     solve_maxvar,
     solve_maxvar_exact,
     verify_kkt,
@@ -259,23 +259,40 @@ def test_criterion_09_variance_maximization(q_suite):
                f"{elapsed:.1f} s")
 
 
+def _negative_curvature_in_support(n, seed, attempts):
+    """The first random signed draw whose exact maximizer's support holds a
+    node of negative whole-graph curvature (below -1e-10), as
+    ``(q, solution, node, curvature, attempt)``, or ``None``."""
+    rng = np.random.default_rng(seed)
+    for attempt in range(1, attempts + 1):
+        q = random_class_q(n, rng, ensure_signed=True)
+        whole = curvature_radius_q(q)
+        if whole.p.min() >= -1e-10:
+            continue
+        solution = solve_maxvar_exact(resistance_matrix_q(q))
+        negative = [int(i) for i in solution.support if whole.p[i] < -1e-10]
+        if negative:
+            node = negative[0]
+            return q, solution, node, float(whole.p[node]), attempt
+    return None
+
+
 def test_criterion_10_negative_curvature_in_support():
     ok = True
     details = []
     for n in (4, 5, 6):
-        found = find_negative_curvature_support_instance(n, seed=0,
-                                                         attempts=100_000)
-        good = (
-            found is not None
-            and found.curvature_value < 0.0
-            and found.node in found.solution.support.tolist()
-            and verify_kkt(resistance_matrix_q(found.q).omega,
-                           found.solution.f).ok
+        found = _negative_curvature_in_support(n, seed=0, attempts=100_000)
+        if found is None:
+            ok = False
+            details.append(f"n={n}: none")
+            continue
+        q, solution, node, value, attempts = found
+        ok = ok and (
+            value < 0.0
+            and node in solution.support.tolist()
+            and verify_kkt(resistance_matrix_q(q).omega, solution.f).ok
         )
-        ok = ok and good
-        details.append(
-            f"n={n}: {found.attempts_used} tries" if found else f"n={n}: none"
-        )
+        details.append(f"n={n}: {attempts} tries")
     report(10, "optimal supports can contain negative-curvature nodes",
            ok, "; ".join(details))
 

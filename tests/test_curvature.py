@@ -8,7 +8,6 @@ from resgeo.curvature import (
     curvature_radius_sc,
     curvature_radius_scwb,
     reduce_curvature_radius,
-    sigma2_subset,
     subset_curvature_radius,
     undirect,
     verify_fiedler_bapat,
@@ -111,29 +110,30 @@ def test_subset_curvature_on_p3_endpoints():
 
 def test_sigma2_subset_values():
     omega = resistance_matrix_scwb(SHOWCASE).omega
-    assert sigma2_subset(SHOWCASE, []) == 0.0
-    assert sigma2_subset(SHOWCASE, [2]) == 0.0
     for i in range(4):
         for j in range(i + 1, 4):
             expected = omega[i, j] / 4.0
-            assert abs(sigma2_subset(SHOWCASE, [i, j]) - expected) < 1e-10
-    assert abs(sigma2_subset(SHOWCASE, range(4)) - 0.375) < 1e-12
+            sigma2 = subset_curvature_radius(omega, [i, j]).sigma2
+            assert abs(sigma2 - expected) < 1e-10
+    assert abs(subset_curvature_radius(omega, range(4)).sigma2 - 0.375) < 1e-12
 
 
 def test_sigma2_subset_rejects_bad_indices():
-    # Fractional indices are not truncated to nodes, as subset curvature
-    # rejects them too; out-of-range singletons fail like larger sets.
-    for subset in ([0.5, 2.7], [1.5], [4], [0, 4]):
+    # Fractional indices are not truncated to nodes; out-of-range and
+    # single-node subsets fail like other bad sets.
+    omega = resistance_matrix_scwb(SHOWCASE).omega
+    for subset in ([0.5, 2.7], [1.5], [4], [0, 4], [2], [1.0, 1], []):
         with pytest.raises(ValidationError):
-            sigma2_subset(SHOWCASE, subset)
-    assert sigma2_subset(SHOWCASE, [1.0, 1]) == 0.0
+            subset_curvature_radius(omega, subset)
 
 
 def test_sigma2_subset_monotone_on_chain():
     rng = np.random.default_rng(17)
     lap = random_scwb_laplacian(8, rng)
     order = rng.permutation(8)
-    values = [sigma2_subset(lap, sorted(order[:k])) for k in range(1, 9)]
+    omega = resistance_matrix_scwb(lap)
+    values = [subset_curvature_radius(omega, sorted(order[:k])).sigma2
+              for k in range(2, 9)]
     for small, large in zip(values, values[1:]):
         assert small <= large + 1e-10
 

@@ -30,7 +30,7 @@ from resgeo.curvature import (
     curvature_radius_sc,
     curvature_radius_scwb,
     reduce_curvature_radius,
-    sigma2_subset,
+    subset_curvature_radius,
     undirect,
     verify_fiedler_bapat,
 )
@@ -43,10 +43,10 @@ from resgeo.generators import (
 from resgeo.graph import (
     DirectedLaplacian,
     SignedLaplacianQ,
+    _classify_q,
     _shared_kernel,
     _shared_sym_pinv,
     sym_pinv,
-    validate_class_q,
     weight_balance,
 )
 from resgeo.kron import kron_reduce, kron_reduce_q
@@ -96,16 +96,17 @@ def test_cli_loads_a_signed_csv_with_one_eigh(kernels, q30_csv):
 
 def test_cli_check_reads_the_spectrum_of_a_signed_csv_off_its_eigh(
         kernels, q30_csv, capsys):
-    # One eigh to load Q and two in validate_class_q; the symmetric
-    # spectrum is the loaded object's eigenvalues, not a fourth eigh.
+    # One eigh to load Q and one for the class report; the symmetric
+    # spectrum is the loaded object's eigenvalues, not a third eigh.
     assert main(["check", q30_csv, "--as-laplacian"]) == 0
     capsys.readouterr()
-    assert (kernels["svd"], kernels["eigh"]) == (0, 3)
+    assert (kernels["svd"], kernels["eigh"]) == (0, 2)
 
 
 def test_validated_and_constructed_q_agree_bit_for_bit():
+    # undirect checks K and then builds Q from the cleaned matrix.
     built = SignedLaplacianQ(Q30.matrix)
-    checked = validate_class_q(Q30.matrix).laplacian
+    checked = SignedLaplacianQ(_classify_q(Q30.matrix)[2][0])
     for a, b in ((built.matrix, checked.matrix), (built.pinv, checked.pinv),
                  (built.eig.values, checked.eig.values),
                  (built.eig.vectors, checked.eig.vectors)):
@@ -140,8 +141,8 @@ def test_classify_metric_takes_one_eigh(kernels):
 
 
 def test_q_from_distance_takes_two_eigh(kernels):
-    # One for the Gram block on 1-perp, one to build Q; validate_class_q
-    # would factor Q twice.
+    # One for the Gram block on 1-perp, one to build Q; checking Q apart
+    # from building it would factor Q twice.
     q_from_distance(resistance_matrix_q(Q30).omega)
     assert (kernels["svd"], kernels["eigh"]) == (0, 2)
 
@@ -239,8 +240,8 @@ def test_undirect_reads_the_kept_sym_pinv(kernels):
 
 
 def test_undirect_reads_the_kept_kernel(kernels):
-    # After the curvature has formed K, undirect only validates it: the
-    # two eigh calls of validate_class_q and no SVD.
+    # After the curvature has formed K, undirect only validates it: one
+    # eigh to check K, one to build Q from it, and no SVD.
     lap = DirectedLaplacian(SCWB20)
     curvature_radius_scwb(lap)
     kernels.clear()
@@ -348,7 +349,8 @@ DERIVED = {
     "balanced_curvature": _on_balanced(curvature_radius_scwb),
     "fiedler_bapat": _on_balanced(verify_fiedler_bapat),
     "reduced_curvature": _on_balanced(reduce_curvature_radius, HALF),
-    "sigma2_subset": _on_balanced(sigma2_subset, HALF[:4]),
+    "subset_curvature": lambda lap: subset_curvature_radius(
+        resistance_matrix_scwb(weight_balance(lap).balanced), HALF[:4]),
     "commutativity": _on_balanced(check_commutativity, HALF),
     "undirect": _on_balanced(undirect),
 }

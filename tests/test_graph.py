@@ -8,14 +8,12 @@ from resgeo.generators import random_sc_laplacian, random_scwb_laplacian
 from resgeo.graph import (
     DirectedLaplacian,
     SignedLaplacianQ,
+    _classify_q,
     is_reachable_subset,
     laplacian_from_edges,
-    pinv_via_shift,
     sym_pinv,
-    validate_class_q,
     weight_balance,
 )
-from resgeo.linalg import pseudoinverse
 
 SHOWCASE = np.array([
     [3.0, -1.0, -2.0, 0.0],
@@ -199,20 +197,6 @@ def test_sym_pinv_is_symmetric_psd_with_ones_kernel():
     assert np.abs(k @ np.ones(4)).max() < 1e-10
 
 
-def test_pinv_via_shift_matches_pseudoinverse():
-    lap = DirectedLaplacian(SHOWCASE)
-    expected = pseudoinverse(SHOWCASE)
-    for gamma in (1.0, -2.0, 10.0):
-        assert np.abs(pinv_via_shift(lap, gamma=gamma) - expected).max() < 1e-10
-
-
-def test_pinv_via_shift_preconditions():
-    with pytest.raises(ValidationError):
-        pinv_via_shift(DirectedLaplacian(SHOWCASE), gamma=0.0)
-    with pytest.raises(StructureError):
-        pinv_via_shift(DirectedLaplacian(TWO_NODE))  # SC but not WB
-
-
 def test_reachability():
     # eliminating node 1 is fine ({2, 3} kept: 1 reaches 3); eliminating the
     # sink node 3 is not, nothing leaves it
@@ -226,16 +210,18 @@ def test_class_q_accepts_signed_instance():
         [-2.0, 5.0, -3.0],
         [1.0, -3.0, 2.0],
     ])
-    report = validate_class_q(q)
-    assert report.ok, report.failure
-    assert report.laplacian.matrix[0, 2] == 1.0  # genuinely signed
+    failure, _, checked = _classify_q(q)
+    assert failure is None, failure
+    assert checked[0][0, 2] == 1.0  # genuinely signed
     lap = SignedLaplacianQ(q)
     assert lap.n == 3
 
 
 def test_class_q_rejections():
     asym = np.array([[1.0, -1.0], [0.0, 0.0]])
-    assert not validate_class_q(asym).ok
+    failure, details, checked = _classify_q(asym)
+    assert failure.startswith("asymmetric") and checked is None
+    assert details == {"asymmetry": 1.0}
 
     # indefinite: signed triangle with a dominant positive off-diagonal
     indef = np.array([
@@ -243,9 +229,9 @@ def test_class_q_rejections():
         [2.0, -1.0, -1.0],
         [-1.0, -1.0, 2.0],
     ])
-    report = validate_class_q(indef)
-    assert not report.ok
-    assert "semidefinite" in report.failure
+    failure, details, checked = _classify_q(indef)
+    assert "semidefinite" in failure and checked is None
+    assert details["eigenvalue_min"] < 0.0
 
     # two components: kernel dimension 2
     disconnected = np.array([
@@ -254,17 +240,18 @@ def test_class_q_rejections():
         [0.0, 0.0, 2.0, -2.0],
         [0.0, 0.0, -2.0, 2.0],
     ])
-    report = validate_class_q(disconnected)
-    assert not report.ok
-    assert report.details["kernel_dimension"] == 2
+    failure, details, checked = _classify_q(disconnected)
+    assert failure.startswith("kernel has dimension 2") and checked is None
+    assert details["kernel_dimension"] == 2
 
     with pytest.raises(ValidationError):
         SignedLaplacianQ(disconnected)
 
 
 def test_class_q_needs_positive_diagonal():
-    report = validate_class_q(np.zeros((1, 1)))
-    assert not report.ok
+    failure, details, checked = _classify_q(np.zeros((1, 1)))
+    assert failure.startswith("diagonal entry") and checked is None
+    assert details["diagonal_min"] == 0.0
 
 
 @settings(max_examples=30, deadline=None)

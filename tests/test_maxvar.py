@@ -3,11 +3,14 @@ import pytest
 
 from resgeo import maxvar
 from resgeo.errors import CapacityError, ConvergenceError, ValidationError
-from resgeo.generators import random_class_q, random_unsigned_laplacian
-from resgeo.graph import SignedLaplacianQ
+from resgeo.generators import (
+    random_class_q,
+    random_sc_laplacian,
+    random_scwb_laplacian,
+    random_unsigned_laplacian,
+)
 from resgeo.maxvar import (
     characterize,
-    find_negative_curvature_support_instance,
     solve_maxvar,
     solve_maxvar_exact,
     variance,
@@ -125,19 +128,30 @@ def test_characterize_against_raw_omega():
     assert abs(report.curvature.sigma2 - 0.5) < 1e-12
 
 
-def test_negative_curvature_search_bounds():
-    with pytest.raises(ValidationError):
-        find_negative_curvature_support_instance(3)
-    with pytest.raises(ValidationError):
-        find_negative_curvature_support_instance(13)
+def _q40():
+    rng = np.random.default_rng(3)
+    random_scwb_laplacian(40, rng)
+    random_sc_laplacian(40, rng)
+    return random_class_q(40, rng)
 
 
-def test_negative_curvature_search_finds_witness():
-    found = find_negative_curvature_support_instance(4, seed=0, attempts=2000)
-    assert found is not None
-    assert found.curvature_value < 0.0
-    assert found.node in found.solution.support.tolist()
-    assert isinstance(found.q, SignedLaplacianQ)
-    # re-certify the stored evidence from scratch
-    omega = resistance_matrix_q(found.q)
-    assert verify_kkt(omega.omega, found.solution.f).ok
+@pytest.mark.parametrize("solver, q", [
+    (solve_maxvar, _q40()),
+    (solve_maxvar_exact, random_class_q(12, np.random.default_rng(7))),
+], ids=["iterative", "exact"])
+def test_solvers_do_not_depend_on_the_scale_of_omega(solver, q):
+    # Scaling Q by 2^k scales Omega by 2^-k.  A certificate with a floor
+    # of 1 at unit scale accepted a wrong support below it (all mass on
+    # node 0 for the iterative solver, 7 nodes for the exact one at
+    # k = 40), and a fixed face cut refused every face above it (k = -40).
+    omega = resistance_matrix_q(q).omega
+    expected = solver(omega)
+    assert expected.support.size > 1
+    for k in (-40, -20, 0, 20, 40):
+        scaled = omega * 2.0 ** -k
+        sol = solver(scaled)
+        assert sol.support.tolist() == expected.support.tolist(), k
+        assert np.abs(sol.f - expected.f).max() < 1e-12, k
+        assert abs(sol.value * 2.0 ** k - expected.value) < 1e-9 * expected.value
+        assert verify_kkt(scaled, sol.f).ok
+        assert not verify_kkt(scaled, np.eye(1, q.n)[0]).ok

@@ -10,7 +10,15 @@ from resgeo.generators import (
     random_unsigned_laplacian,
 )
 from resgeo.graph import DirectedLaplacian
+from resgeo.linalg import pseudoinverse
 from resgeo.verify import run_verification
+
+SHOWCASE = np.array([
+    [3.0, -1.0, -2.0, 0.0],
+    [0.0, 1.0, 0.0, -1.0],
+    [0.0, 0.0, 2.0, -2.0],
+    [-3.0, 0.0, 0.0, 3.0],
+])
 
 
 def test_generator_contracts():
@@ -122,6 +130,32 @@ def test_kron_vs_gth_rejects_a_planted_error(monkeypatch):
     planted = _kron_vs_gth(3)
     assert not planted.passed
     assert planted.max_residual > 5e-9
+
+
+def test_pinv_via_shift_matches_pseudoinverse():
+    lap = DirectedLaplacian(SHOWCASE)
+    expected = pseudoinverse(SHOWCASE)
+    for gamma in (1.0, -2.0, 10.0):
+        shifted = verify._pinv_via_shift(lap, gamma=gamma)
+        assert np.abs(shifted - expected).max() < 1e-10
+
+
+def test_shifted_pinv_agreement_rejects_a_planted_error(monkeypatch):
+    monkeypatch.setattr(verify, "_PROPERTIES", [
+        p for p in verify._PROPERTIES if p[0] == "shifted_pinv_agreement"])
+    [result] = run_verification(3, cases=5, n_max=12)
+    assert result.passed
+    exact = verify._pinv_via_shift
+
+    def perturbed(lap, gamma=1.0):
+        inv = exact(lap, gamma)
+        inv[0, -1] += 1e-7
+        return inv
+
+    monkeypatch.setattr(verify, "_pinv_via_shift", perturbed)
+    [planted] = run_verification(3, cases=5, n_max=12)
+    assert not planted.passed
+    assert planted.max_residual > 5e-8
 
 
 def _benchmark_suite_seeds():

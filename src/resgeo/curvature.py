@@ -32,6 +32,7 @@ not (``check_noncommutativity``).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,6 +48,9 @@ from .graph import (
 )
 from .kron import kron_reduce
 from .linalg import (
+    IDENTITY_TOL,
+    ROUNDOFF_TOL,
+    SUM_TOL,
     _scale,
     as_square,
     normalize_indices,
@@ -58,9 +62,6 @@ from .resistance import (
     _omega_from_kernel,
     resistance_matrix_sc,
 )
-
-#: Residual threshold for the identity checks below.
-IDENTITY_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -80,7 +81,7 @@ class CurvatureRadius:
         if p.ndim != 1:
             raise ValidationError("curvature vector must be 1-dimensional")
         total = p.sum()
-        if abs(total - 1.0) > 1e-9 * _scale(p):
+        if abs(total - 1.0) > SUM_TOL * max(1.0, _scale(p)):
             raise ValidationError(
                 f"curvature vector must sum to 1, got {total!r}"
             )
@@ -97,7 +98,30 @@ class FiedlerBapat:
     """Both blocks of the Fiedler-Bapat identity and their product residual.
 
     ``lhs @ (-2 * rhs) + 2 I`` should vanish; ``residual`` is its largest
-    absolute entry and ``passed`` applies the package-wide threshold.
+    absolute entry.  ``scaled_residual`` is the largest absolute entry of
+    the same residual with ``Omega`` and ``sigma^2`` divided by
+    ``c = 2^round(log2 |Omega|_max)`` and ``(L_s^+)^+`` (or ``Q``)
+    multiplied by ``c``: every block is then of unit scale, and scaling
+    the weights by a power of two leaves it unchanged.  ``passed``
+    compares ``scaled_residual`` with ``IDENTITY_TOL``.
+    """
+
+    lhs: np.ndarray
+    rhs: np.ndarray
+    residual: float
+    scaled_residual: float
+
+    @property
+    def passed(self) -> bool:
+        return self.scaled_residual <= IDENTITY_TOL
+
+
+@dataclass(frozen=True)
+class CommutativityCheck:
+    """Schur complement of ``(L_s^+)^+`` versus ``((L/e)_s^+)^+``.
+
+    ``residual`` is the largest absolute entry of ``lhs - rhs``; ``passed``
+    compares it with ``IDENTITY_TOL`` times the largest entry of ``lhs``.
     """
 
     lhs: np.ndarray
@@ -106,20 +130,7 @@ class FiedlerBapat:
 
     @property
     def passed(self) -> bool:
-        return self.residual <= IDENTITY_TOL
-
-
-@dataclass(frozen=True)
-class CommutativityCheck:
-    """Schur complement of ``(L_s^+)^+`` versus ``((L/e)_s^+)^+``."""
-
-    lhs: np.ndarray
-    rhs: np.ndarray
-    residual: float
-
-    @property
-    def passed(self) -> bool:
-        return self.residual <= IDENTITY_TOL
+        return self.residual <= IDENTITY_TOL * _scale(self.lhs)
 
 
 @dataclass(frozen=True)
@@ -202,14 +213,30 @@ def verify_fiedler_bapat(source) -> FiedlerBapat:
     Accepts an SCWB directed Laplacian or a signed Laplacian.  This is an
     independent check of the closed-form curvature and radius: the block
     product is formed explicitly and compared against ``-2 I``.
+
+    Scaling ``Omega`` and ``sigma^2`` by ``1/c`` and the kernel by ``c``,
+    for ``c`` a power of two, is exact: it multiplies the residual's top
+    right block by ``c``, its bottom left block by ``1/c``, and leaves the
+    diagonal blocks bit for bit.  So one product gives both residuals.
     """
     kernel, kernel_pinv, _, p, sigma2 = _closed_form(source)
     ones = np.ones((1, kernel.shape[0]))
     lhs = np.block([[0.0, ones], [ones.T, _omega_from_kernel(kernel_pinv)]])
     core = np.block([[4.0 * sigma2, -2.0 * p[None, :]],
                      [-2.0 * p[:, None], kernel]])
-    residual = float(np.abs(lhs @ core + 2.0 * np.eye(lhs.shape[0])).max())
-    return FiedlerBapat(lhs=lhs, rhs=-0.5 * core, residual=residual)
+    # In place: the product is the only (n+1)^2 temporary.
+    r = lhs @ core
+    r[np.diag_indices_from(r)] += 2.0
+    np.abs(r, out=r)
+    # A one-node graph has Omega = 0 and nothing to scale.
+    peak = _scale(lhs[1:, 1:])
+    c = 2.0 ** round(math.log2(peak)) if peak > 0.0 else 1.0
+    corner, diagonal = r[0, 0], r[1:, 1:].max()
+    top, left = r[0, 1:].max(), r[1:, 0].max()
+    return FiedlerBapat(lhs=lhs, rhs=-0.5 * core,
+                        residual=float(max(corner, top, left, diagonal)),
+                        scaled_residual=float(max(corner, c * top, left / c,
+                                                  diagonal)))
 
 
 def _solved(omega, what):
@@ -266,7 +293,7 @@ def wb_transform(cr: CurvatureRadius, m, omega) -> CurvatureRadius:
         raise ValidationError("balancing vector must be strictly positive")
     y = solve_conditioned(om, scaling * (om @ cr.p), what="resistance matrix")
     d = float(y.sum())
-    if abs(d) <= 1e-12:
+    if abs(d) <= ROUNDOFF_TOL:
         raise NumericError("degenerate balancing transform (denominator ~ 0)")
     return CurvatureRadius(p=y / d, sigma2=cr.sigma2 / d, zeta=None)
 
@@ -276,7 +303,8 @@ def check_commutativity(lap: DirectedLaplacian, keep) -> CommutativityCheck:
 
     Both routes end at the same matrix: the Schur complement of
     ``(L_s^+)^+`` onto the kept nodes equals ``((L/e)_s^+)^+`` of the
-    Kron-reduced graph.
+    Kron-reduced graph.  The check passes when their largest difference
+    is at most ``IDENTITY_TOL`` times the largest entry of the first.
     """
     kept = normalize_indices(keep, lap.n, min_size=2)
     lhs = schur_complement(undirect(lap).matrix, kept)

@@ -25,7 +25,7 @@ import numpy as np
 from .curvature import curvature_radius_q
 from .errors import NumericError, ValidationError
 from .graph import SignedLaplacianQ
-from .linalg import _scale, pseudoinverse
+from .linalg import ANGLE_TOL, CONSTRUCTION_TOL, ROUNDOFF_TOL, _scale
 
 
 @dataclass(frozen=True)
@@ -44,7 +44,7 @@ class Embedding:
     def __post_init__(self):
         b = self.coordinates
         centroid = np.abs(b.sum(axis=1)).max(initial=0.0)
-        if centroid > 1e-10 * _scale(b):
+        if centroid > CONSTRUCTION_TOL * _scale(b):
             raise ValidationError(
                 f"embedded centroid deviates from the origin by {centroid:.3e}"
             )
@@ -70,7 +70,7 @@ class SimplexGeometry:
     def __post_init__(self):
         for name in ("cos_dihedral", "cos_vertex"):
             m = getattr(self, name)
-            if np.abs(m).max(initial=0.0) > 1.0 + 1e-12:
+            if np.abs(m).max(initial=0.0) > 1.0 + ROUNDOFF_TOL:
                 raise ValidationError(
                     f"{name} has an entry outside [-1, 1]"
                 )
@@ -93,7 +93,7 @@ class AngleCheck:
     def passed(self) -> bool:
         if self.skipped:
             return True
-        return max(self.dihedral_deviation, self.vertex_deviation) <= 1e-9
+        return max(self.dihedral_deviation, self.vertex_deviation) <= ANGLE_TOL
 
 
 def embed(q: SignedLaplacianQ) -> Embedding:
@@ -150,11 +150,13 @@ def simplex_geometry(q: SignedLaplacianQ, emb: Embedding) -> SimplexGeometry:
 def verify_angles_geometric(q: SignedLaplacianQ, emb: Embedding) -> AngleCheck:
     """Recompute both angle families from raw coordinates and compare.
 
-    Dihedral cosines: the rows of the coordinate pseudoinverse are normals
-    of the opposite faces, and the face angle is the complement of the
-    normal angle.  Vertex cosines: law of cosines from vertex norms and
-    squared vertex distances.  Reports the largest deviation of each
-    family from the closed forms.
+    Dihedral cosines: the rows of the coordinate pseudoinverse ``B^+`` are
+    normals of the opposite faces, and the face angle is the complement of
+    the normal angle.  Since ``B 1 = 0``, the inverse of ``[B; 1^T]`` is
+    ``[B^+ | 1/n]``, so ``B^+`` comes from one solve.  Vertex cosines: the
+    Gram matrix ``B^T B`` of the raw coordinates over the vertex norms.
+    Reports the largest deviation of each family from the closed forms;
+    ``passed`` holds both to ``ANGLE_TOL``.
     """
     n = q.n
     if n < 3:
@@ -162,19 +164,17 @@ def verify_angles_geometric(q: SignedLaplacianQ, emb: Embedding) -> AngleCheck:
                           dihedral_deviation=0.0, vertex_deviation=0.0)
     geo = simplex_geometry(q, emb)
     b = emb.coordinates
-    normals = pseudoinverse(b)
+    try:
+        normals = np.linalg.solve(np.vstack((b, np.ones(n))), np.eye(n, n - 1))
+    except np.linalg.LinAlgError:
+        raise NumericError("the embedded simplex is degenerate") from None
     lengths = np.linalg.norm(normals, axis=1)
     cos_normals = (normals @ normals.T) / np.outer(lengths, lengths)
     cos_dihedral_geo = -cos_normals
     np.fill_diagonal(cos_dihedral_geo, 1.0)
     dihedral_dev = float(np.abs(cos_dihedral_geo - geo.cos_dihedral).max())
     vertex_norms = np.linalg.norm(b, axis=0)
-    diff2 = np.zeros((n, n))
-    for i in range(n):
-        diff2[i] = ((b - b[:, [i]]) ** 2).sum(axis=0)
-    cos_vertex_geo = (
-        vertex_norms[:, None] ** 2 + vertex_norms[None, :] ** 2 - diff2
-    ) / (2.0 * np.outer(vertex_norms, vertex_norms))
+    cos_vertex_geo = (b.T @ b) / np.outer(vertex_norms, vertex_norms)
     np.fill_diagonal(cos_vertex_geo, 1.0)
     vertex_dev = float(np.abs(cos_vertex_geo - geo.cos_vertex).max())
     return AngleCheck(skipped=False, reason=None,

@@ -11,7 +11,7 @@ import numpy as np
 
 from .errors import NumericError, ValidationError
 from .graph import DirectedLaplacian, SignedLaplacianQ
-from .linalg import centering_projector, pseudoinverse
+from .linalg import SIGNED_EDGE_TOL, _scale, centering_projector, pseudoinverse
 
 #: Draws :func:`random_class_q` makes before it gives up.
 MAX_CLASS_Q_DRAWS = 64
@@ -96,7 +96,8 @@ def random_class_q(n, rng, ensure_signed=False):
     Draws a square factor ``H``, centers ``H^T H`` to get a PSD matrix
     with kernel ``span(1)``, and takes its pseudoinverse; generic draws
     land in the signed class.  With ``ensure_signed`` the draw is repeated
-    until some off-diagonal entry is genuinely positive (a signed edge).
+    until some off-diagonal entry exceeds ``SIGNED_EDGE_TOL * |Q|_max`` (a
+    signed edge).
     """
     if n < 2:
         raise ValueError("need at least two nodes")
@@ -115,7 +116,7 @@ def random_class_q(n, rng, ensure_signed=False):
         if ensure_signed:
             off = q.matrix.copy()
             np.fill_diagonal(off, 0.0)
-            if off.max() <= 1e-8:
+            if off.max() <= SIGNED_EDGE_TOL * _scale(q.matrix):
                 continue
         return q
     raise NumericError(

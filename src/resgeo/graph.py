@@ -36,17 +36,15 @@ import numpy as np
 from .errors import NumericError, StructureError, ValidationError
 from .linalg import (
     COND_LIMIT,
+    CONSTRUCTION_TOL,
+    ROUNDOFF_TOL,
+    STRUCTURAL_TOL,
     _scale,
     as_square,
     normalize_indices,
     pseudoinverse,
     sym_eig,
 )
-
-#: Fixed tolerance of the structural predicates (weight balance, class
-#: membership, metric classification); scale-aware, applied as
-#: ``STRUCTURAL_TOL * max(1, |A|_max)`` or relative to a spectrum's peak.
-STRUCTURAL_TOL = 1e-9
 
 
 def _reached(matrix, seeds):
@@ -78,8 +76,9 @@ class DirectedLaplacian:
     weight balance are computed once at construction and cached: the
     graph is strongly connected when the forward and the backward closure
     of node 0 both cover every node (a single node counts as connected),
-    and weight balanced when every column sum vanishes within
-    ``STRUCTURAL_TOL`` of the matrix scale.
+    and weight balanced when each column sum is at most ``STRUCTURAL_TOL``
+    times that column's absolute sum, so a light column is judged by its
+    own weights and not by the heaviest one.
 
     Three factorizations are filled in on first use and then shared by
     every function that derives from them: the :class:`WeightBalancing`
@@ -91,7 +90,7 @@ class DirectedLaplacian:
     ------
     ValidationError
         If an off-diagonal entry is positive or a row sum is nonzero
-        beyond ``1e-12`` (relative to the matrix magnitude).
+        beyond ``ROUNDOFF_TOL`` times the largest entry.
     """
 
     __slots__ = ("matrix", "n", "strongly_connected", "weight_balanced",
@@ -111,7 +110,7 @@ class DirectedLaplacian:
                 f"off-diagonal entry ({i}, {j}) = {m[i, j]:.6e} is positive; "
                 "directed edge weights enter as nonpositive entries"
             )
-        if rowsum > 1e-12 * scale:
+        if rowsum > ROUNDOFF_TOL * scale:
             raise ValidationError(
                 f"row sums deviate from zero by {rowsum:.3e}"
             )
@@ -122,9 +121,9 @@ class DirectedLaplacian:
         self.strongly_connected = bool(
             _reached(m, [0]).all() and _reached(m.T, [0]).all()
         )
-        self.weight_balanced = bool(
-            np.abs(m.sum(axis=0)).max() <= STRUCTURAL_TOL * _scale(m)
-        )
+        self.weight_balanced = bool(np.all(
+            np.abs(m.sum(axis=0)) <= STRUCTURAL_TOL * np.abs(m).sum(axis=0)
+        ))
         self._balancing = self._sym_pinv = self._kernel = None
 
     def __repr__(self):
@@ -189,7 +188,7 @@ def _classify_q(matrix):
     details = {}
     asym = float(np.abs(m - m.T).max())
     details["asymmetry"] = asym
-    if asym > 1e-12 * scale:
+    if asym > ROUNDOFF_TOL * scale:
         return f"asymmetric (max deviation {asym:.3e})", details, None
     sym = (m + m.T) / 2.0
     rowsum = float(np.abs(sym.sum(axis=1)).max())
@@ -315,7 +314,7 @@ def weight_balance(lap: DirectedLaplacian) -> WeightBalancing:
     NumericError
         If the grounded block is singular, an entry of ``m`` is not
         positive, or a column sum of the balanced Laplacian exceeds
-        ``1e-10`` of its magnitude.
+        ``CONSTRUCTION_TOL`` times its largest entry.
     """
     if lap._balancing is None:
         balancing = _balance(lap)
@@ -352,7 +351,7 @@ def _balance(lap):
     m = n * m / m.sum()
     balanced = DirectedLaplacian(m[:, None] * lap.matrix)
     colsum = np.abs(balanced.matrix.sum(axis=0)).max()
-    if colsum > 1e-10 * _scale(balanced.matrix):
+    if colsum > CONSTRUCTION_TOL * _scale(balanced.matrix):
         raise NumericError(
             f"balancing failed: residual column sum {colsum:.3e}"
         )

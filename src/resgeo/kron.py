@@ -103,12 +103,17 @@ def kron_reduce_q(q: SignedLaplacianQ, keep) -> SignedLaplacianQ:
     """Kron reduction within the signed-Laplacian class.
 
     The class (symmetric PSD, kernel ``span(1)``, positive diagonal) is
-    closed under Schur complements onto at least two nodes, so a failed
-    revalidation here indicates a numerical breakdown, not a bad input.
+    closed under Schur complements onto at least two nodes.  The Schur
+    complement ``S`` is symmetric in exact arithmetic, so ``(S + S^T) / 2``
+    is what gets revalidated: the class check's asymmetry bound,
+    ``ROUNDOFF_TOL`` times ``|S|_max``, then judges the input and not the
+    solve's roundoff.  A failed revalidation indicates a numerical
+    breakdown, not a bad input.
     """
     kept = normalize_indices(keep, q.n, min_size=2)
+    reduced = schur_complement(q.matrix, kept)
     try:
-        return SignedLaplacianQ(schur_complement(q.matrix, kept))
+        return SignedLaplacianQ((reduced + reduced.T) / 2.0)
     except ValidationError as exc:
         raise NumericError(f"Kron reduction left the signed-Laplacian class "
                            f"({exc}): a numerical breakdown") from exc

@@ -30,7 +30,14 @@ that the rest of the package relies on:
   ``L_s^+``, a resistance matrix) is gated on ``kappa_2`` by SVD;
 * a matrix whose kernel contains ``1`` is read on ``1``-perp through the
   Householder reflector of :func:`_reflected`, which keeps that kernel
-  direction exact.
+  direction exact;
+* every tolerance of the package is defined here, next to :func:`_scale`.
+  A check compares its residual with a tolerance times the operands it
+  checks (``_scale``, the largest entry, with no floor; a column's
+  absolute sum; a spectrum's peak; ``sigma^2``), so scaling the edge
+  weights by a power of two leaves every verdict unchanged.  A check on a
+  dimensionless quantity (a distribution, a cosine, a curvature vector)
+  compares it with its unit.
 
 All computations are float64.
 """
@@ -47,10 +54,49 @@ from .errors import DegenerateBlockError, NumericError, ValidationError
 #: Condition-number ceiling for any block that gets inverted.
 COND_LIMIT = 1e12
 
+#: Structural predicates (weight balance, signed-Laplacian class, metric
+#: labels, resistance-matrix contracts), times the checked matrix's scale
+#: or its spectrum's peak: far above roundoff, far below a real defect.
+STRUCTURAL_TOL = 1e-9
+
+#: Identity residuals (Fiedler-Bapat, commutativity with Kron reduction,
+#: maximizer versus subset curvature), on operands of unit scale.
+IDENTITY_TOL = 1e-8
+
+#: A distribution entry at or below this counts as zero: off the support
+#: and not interior.  Distributions are dimensionless.
+INTERIOR_TOL = 1e-12
+
+#: Defects an input carries from roundoff alone (asymmetry, row sums,
+#: a cosine past 1, a vanishing dimensionless denominator), relative to
+#: the operand's scale.
+ROUNDOFF_TOL = 1e-12
+
+#: Sums that vanish by construction (a balanced graph's column sums, the
+#: embedded simplex's centroid), relative to the operand's scale.
+CONSTRUCTION_TOL = 1e-10
+
+#: A distribution or curvature vector sums to 1 within this, relative to
+#: ``max(1, |p|_max)``: 1 is its unit.
+SUM_TOL = 1e-9
+
+#: The maxvar KKT certificate, relative to ``|Omega|_max``.
+KKT_TOL = 1e-9
+
+#: Closed-form versus coordinate-recomputed angle cosines.
+ANGLE_TOL = 1e-9
+
+#: An off-diagonal entry of ``Q`` above this times ``|Q|_max`` is a signed
+#: edge for ``random_class_q``: ten times ``STRUCTURAL_TOL``, so the
+#: ``classify_metric`` label of its draws is not decided at the threshold.
+SIGNED_EDGE_TOL = 1e-8
+
 
 def _scale(m):
-    """``max(1, |m|_max)``: the magnitude relative tolerances scale with."""
-    return max(1.0, float(m.max()), -float(m.min())) if m.size else 1.0
+    """``|m|_max``, with no floor: the magnitude a residual on ``m`` is
+    compared with.  It is 0 for a zero or empty ``m``, where a check
+    ``residual > tol * _scale(m)`` then accepts only an exact zero."""
+    return max(float(m.max()), -float(m.min())) if m.size else 0.0
 
 
 def as_matrix(a, name="matrix"):

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curvature import IDENTITY_TOL, CurvatureRadius, subset_curvature_radius
+from .curvature import CurvatureRadius, subset_curvature_radius
 from .errors import (
     CapacityError,
     ConvergenceError,
@@ -39,16 +39,20 @@ from .errors import (
     ValidationError,
 )
 from .graph import DirectedLaplacian, SignedLaplacianQ
-from .linalg import _scale, as_square
+from .linalg import (
+    IDENTITY_TOL,
+    INTERIOR_TOL,
+    KKT_TOL,
+    STRUCTURAL_TOL,
+    SUM_TOL,
+    _scale,
+    as_square,
+)
 from .resistance import (
     ResistanceMatrix,
     resistance_matrix_q,
     resistance_matrix_scwb,
 )
-
-#: A solved face distribution counts as interior only above this; smaller
-#: entries are boundary-degenerate zeros and get dropped from the support.
-INTERIOR_TOL = 1e-12
 
 #: Hard cap for exhaustive support enumeration (2^n faces).
 MAX_EXACT_NODES = 15
@@ -83,7 +87,10 @@ class CharacterizationReport:
 
     ``curvature_residual`` compares ``f*`` on its support with the subset
     curvature vector; ``value_residual`` compares the optimal variance
-    with the subset squared radius.
+    with the subset squared radius.  ``passed`` holds both to
+    ``IDENTITY_TOL``: the curvature residual as it is (both vectors are
+    distributions), the value residual divided by the subset's
+    ``sigma^2``.
     """
 
     curvature: CurvatureRadius
@@ -92,12 +99,13 @@ class CharacterizationReport:
 
     @property
     def passed(self) -> bool:
-        return max(self.curvature_residual, self.value_residual) <= IDENTITY_TOL
+        return max(self.curvature_residual,
+                   self.value_residual / self.curvature.sigma2) <= IDENTITY_TOL
 
 
 def _as_omega(omega):
     m = omega.omega if isinstance(omega, ResistanceMatrix) else as_square(omega)
-    if np.abs(m - m.T).max(initial=0.0) > 1e-9 * _scale(m):
+    if np.abs(m - m.T).max(initial=0.0) > STRUCTURAL_TOL * _scale(m):
         raise ValidationError(
             "variance maximization needs a symmetric resistance matrix"
         )
@@ -108,9 +116,9 @@ def _check_distribution(f, n):
     v = np.asarray(f, dtype=float)
     if v.shape != (n,):
         raise ValidationError(f"distribution must have shape ({n},)")
-    if v.min() < -1e-12:
+    if v.min() < -INTERIOR_TOL:
         raise ValidationError("distribution entries must be nonnegative")
-    if abs(v.sum() - 1.0) > 1e-9:
+    if abs(v.sum() - 1.0) > SUM_TOL:
         raise ValidationError("distribution must sum to 1")
     return np.clip(v, 0.0, None)
 
@@ -128,16 +136,16 @@ def verify_kkt(omega, f) -> KktCheck:
     The residual is ``max_j (Omega f)_j - min_{i in supp f} (Omega f)_i``
     clipped at zero: it vanishes exactly when the gradient is constant on
     the support and no larger elsewhere.  It passes at the solvers'
-    ``1e-9`` of the largest entry of ``|Omega|``, with no floor, so the
-    verdict does not change when ``Omega`` is scaled.
+    ``KKT_TOL`` times the largest entry of ``|Omega|``, with no floor, so
+    the verdict does not change when ``Omega`` is scaled.
     """
     om = _as_omega(omega)
     v = _check_distribution(f, om.shape[0])
-    support = np.flatnonzero(v > 1e-12)
+    support = np.flatnonzero(v > INTERIOR_TOL)
     if support.size == 0:
         raise ValidationError("distribution has empty support")
     residual = _kkt_residual(om @ v, support)
-    return KktCheck(ok=residual <= 1e-9 * np.abs(om).max(),
+    return KktCheck(ok=residual <= KKT_TOL * _scale(om),
                     residual=residual, support=support)
 
 
@@ -202,7 +210,7 @@ def solve_maxvar_exact(omega) -> MaxVarSolution:
     if n == 1:
         return MaxVarSolution(f=np.ones(1), support=np.array([0]), value=0.0,
                               kkt_residual=0.0, method="exact")
-    tol_cert = 1e-9 * np.abs(om).max()
+    tol_cert = KKT_TOL * _scale(om)
     for size in range(n, 1, -1):
         for nodes in itertools.combinations(range(n), size):
             nodes = np.array(nodes)
@@ -227,7 +235,7 @@ def solve_maxvar(omega) -> MaxVarSolution:
     it until the first entry at or below ``INTERIOR_TOL`` reaches zero, that
     node leaves, and the face is solved again.  Strict concavity makes this
     finite, and ``MAX_FACE_SOLVES`` caps the face solves.  The KKT residual
-    is certified at ``1e-9`` of the largest entry of ``|Omega|``.
+    is certified at ``KKT_TOL`` times the largest entry of ``|Omega|``.
 
     Raises
     ------
@@ -244,12 +252,12 @@ def solve_maxvar(omega) -> MaxVarSolution:
     if n == 1:
         return MaxVarSolution(f=np.ones(1), support=np.array([0]), value=0.0,
                               kkt_residual=0.0, method="iterative")
-    peak = np.abs(om).max()
+    peak = _scale(om)
     if peak == 0.0:
         raise ValidationError("resistance matrix must be nonzero")
     f = np.eye(1, n)[0]
     nodes = np.array([0])
-    tol_cert = 1e-9 * peak
+    tol_cert = KKT_TOL * peak
     history = []
     solves = 0
     while True:

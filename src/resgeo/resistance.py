@@ -34,12 +34,18 @@ from .errors import (
 from .graph import (
     DirectedLaplacian,
     SignedLaplacianQ,
-    STRUCTURAL_TOL,
     _shared_sym_pinv,
     weight_balance,
 )
 from .kron import kron_reduce
-from .linalg import _reflected, _scale, as_square, sym_eig
+from .linalg import (
+    ROUNDOFF_TOL,
+    STRUCTURAL_TOL,
+    _reflected,
+    _scale,
+    as_square,
+    sym_eig,
+)
 
 RESISTANCE_KINDS = ("directed_sc", "scwb", "class_q")
 
@@ -61,7 +67,7 @@ class ResistanceMatrix:
             raise ValidationError(f"unknown resistance kind {self.kind!r}")
         m = as_square(self.omega, "omega").copy()
         n = m.shape[0]
-        if np.abs(np.diag(m)).max(initial=0.0) > 1e-9 * _scale(m):
+        if np.abs(np.diag(m)).max(initial=0.0) > STRUCTURAL_TOL * _scale(m):
             raise ValidationError("resistance matrix must have zero diagonal")
         np.fill_diagonal(m, 0.0)
         off = m + np.diag(np.full(n, np.inf))
@@ -71,7 +77,7 @@ class ResistanceMatrix:
             )
         if self.kind in ("scwb", "class_q"):
             asym = np.abs(m - m.T).max()
-            if asym > 1e-9 * _scale(m):
+            if asym > STRUCTURAL_TOL * _scale(m):
                 raise ValidationError(
                     f"kind {self.kind!r} requires symmetry "
                     f"(deviation {asym:.3e})"
@@ -182,8 +188,12 @@ def classify_metric(distance) -> MetricClass:
     ``not_negative_type`` if one is negative, ``negative_type`` if one is
     zero (the Gram kernel is larger than ``span(1)``), and otherwise
     ``strict_negative_type``, upgraded to ``resistance_metric`` when the
-    Gram pseudoinverse has no off-diagonal entry above ``STRUCTURAL_TOL``
-    (an unsigned Laplacian).  Witnesses are unit vectors orthogonal to 1.
+    Gram pseudoinverse ``G^+`` has no off-diagonal entry above
+    ``STRUCTURAL_TOL * |G^+|_max`` (an unsigned Laplacian).  The input
+    checks (symmetry within ``ROUNDOFF_TOL``, zero diagonal and
+    nonnegativity within ``STRUCTURAL_TOL``) are relative to
+    ``|distance|_max``, so scaling the input leaves the label unchanged.
+    Witnesses are unit vectors orthogonal to 1.
     """
     return _classify(distance)[0]
 
@@ -202,7 +212,7 @@ def _classify(distance):
     if n < 2:
         raise ValidationError("distance matrix needs at least two points")
     scale = _scale(d)
-    if np.abs(d - d.T).max(initial=0.0) > 1e-12 * scale:
+    if np.abs(d - d.T).max(initial=0.0) > ROUNDOFF_TOL * scale:
         raise ValidationError("distance matrix must be symmetric")
     if np.abs(np.diag(d)).max(initial=0.0) > STRUCTURAL_TOL * scale:
         raise ValidationError("distance matrix must have zero diagonal")
@@ -222,7 +232,7 @@ def _classify(distance):
     gram_pinv = _reflected(gram_pinv)
     gram_pinv = (gram_pinv + gram_pinv.T) / 2.0
     off = gram_pinv - np.diag(np.diag(gram_pinv))
-    if off.max(initial=0.0) <= STRUCTURAL_TOL:
+    if off.max(initial=0.0) <= STRUCTURAL_TOL * _scale(gram_pinv):
         return MetricClass(label="resistance_metric", witness=None), gram_pinv
     return MetricClass(label="strict_negative_type", witness=None), gram_pinv
 

@@ -3,6 +3,7 @@ import pytest
 
 from resgeo.curvature import curvature_radius_q
 from resgeo.embed import (
+    Embedding,
     embed,
     export_coordinates,
     read_coordinates,
@@ -107,6 +108,20 @@ def test_angle_recomputation_matches():
         check = verify_angles_geometric(q, emb)
         assert not check.skipped
         assert check.passed, (check.dihedral_deviation, check.vertex_deviation)
+
+
+def test_angle_check_rejects_a_moved_vertex():
+    # Vertex 3 moves by 1e-6 of its norm; recentering is a translation,
+    # which changes no dihedral angle, so only the moved vertex shows.
+    q = random_class_q(8, np.random.default_rng(57))
+    emb = embed(q)
+    assert verify_angles_geometric(q, emb).passed
+    b = emb.coordinates.copy()
+    b[:, 3] += 1e-6 * np.linalg.norm(b[:, 3]) * np.eye(b.shape[0])[0]
+    b -= b.mean(axis=1, keepdims=True)
+    moved = verify_angles_geometric(q, Embedding(b, emb.eigenvalues, emb.vectors))
+    assert not moved.passed
+    assert min(moved.dihedral_deviation, moved.vertex_deviation) > 1e-8
 
 
 def test_angle_check_skips_two_nodes():

@@ -155,3 +155,11 @@ def test_solvers_do_not_depend_on_the_scale_of_omega(solver, q):
         assert abs(sol.value * 2.0 ** k - expected.value) < 1e-9 * expected.value
         assert verify_kkt(scaled, sol.f).ok
         assert not verify_kkt(scaled, np.eye(1, q.n)[0]).ok
+
+
+def test_asymmetry_is_judged_against_the_scale_of_omega():
+    # An asymmetry 50 times the largest entry, below the old floor of 1.
+    omega = P3_OMEGA * 1e-12
+    omega[0, 2] += 1e-10
+    with pytest.raises(ValidationError):
+        solve_maxvar(omega)

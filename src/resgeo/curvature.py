@@ -37,11 +37,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericError, StructureError, ValidationError
+from .errors import NumericError, ValidationError
 from .graph import (
     DirectedLaplacian,
     SignedLaplacianQ,
     _classify_q,
+    _require,
     _shared_kernel,
     _shared_sym_pinv,
     sym_pinv,
@@ -52,14 +53,13 @@ from .linalg import (
     ROUNDOFF_TOL,
     SUM_TOL,
     _scale,
-    as_square,
     normalize_indices,
     schur_complement,
     solve_conditioned,
 )
 from .resistance import (
-    ResistanceMatrix,
     _omega_from_kernel,
+    _resistance,
     resistance_matrix_sc,
 )
 
@@ -157,7 +157,7 @@ def undirect(lap: DirectedLaplacian) -> SignedLaplacianQ:
     that shares all resistance geometry with the input.  Edge weights may
     come out negative, which is exactly why the signed class is needed.
     """
-    _require_scwb(lap)
+    _require(lap, "undirect", balanced=True)
     # Checking K apart from building Q factors it twice where the
     # constructor alone would once; the benchmark's tracer test pins
     # undirect at two eigh calls on a fresh object.
@@ -170,13 +170,6 @@ def undirect(lap: DirectedLaplacian) -> SignedLaplacianQ:
     return SignedLaplacianQ(checked[0])
 
 
-def _require_scwb(lap):
-    if not lap.strongly_connected:
-        raise StructureError("requires a strongly connected graph")
-    if not lap.weight_balanced:
-        raise StructureError("requires a weight-balanced graph")
-
-
 def _closed_form(source):
     """``(kernel, kernel_pinv, zeta, p, sigma2)`` from ``Q`` and ``Q^+``, or
     from the kept ``K`` and ``L_s^+``; a computed ``K`` carries roundoff
@@ -185,7 +178,7 @@ def _closed_form(source):
     if signed:
         kernel, kernel_pinv = source.matrix, source.pinv
     elif isinstance(source, DirectedLaplacian):
-        _require_scwb(source)
+        _require(source, "the Fiedler-Bapat closed form", balanced=True)
         kernel, kernel_pinv = _shared_kernel(source), _shared_sym_pinv(source)
     else:
         raise ValidationError("expected a DirectedLaplacian or "
@@ -228,9 +221,7 @@ def verify_fiedler_bapat(source) -> FiedlerBapat:
     r = lhs @ core
     r[np.diag_indices_from(r)] += 2.0
     np.abs(r, out=r)
-    # A one-node graph has Omega = 0 and nothing to scale.
-    peak = _scale(lhs[1:, 1:])
-    c = 2.0 ** round(math.log2(peak)) if peak > 0.0 else 1.0
+    c = 2.0 ** round(math.log2(_scale(lhs[1:, 1:])))
     corner, diagonal = r[0, 0], r[1:, 1:].max()
     top, left = r[0, 1:].max(), r[1:, 0].max()
     return FiedlerBapat(lhs=lhs, rhs=-0.5 * core,
@@ -256,9 +247,10 @@ def subset_curvature_radius(omega, subset) -> CurvatureRadius:
 
     ``p = Omega[V,V]^{-1} 1 / s`` and ``sigma2 = 1 / (2 s)`` with
     ``s = 1^T Omega[V,V]^{-1} 1``; the curvature vector is indexed by the
-    subset in ascending order.  Needs at least two nodes.
+    subset in ascending order.  Needs at least two nodes.  A raw ``omega``
+    is validated as a :class:`~resgeo.resistance.ResistanceMatrix`.
     """
-    om = omega.omega if isinstance(omega, ResistanceMatrix) else as_square(omega)
+    om = _resistance(omega)
     sub = normalize_indices(subset, om.shape[0], min_size=2, name="subset")
     return _solved(om[np.ix_(sub, sub)], "resistance principal block")
 
@@ -284,8 +276,10 @@ def wb_transform(cr: CurvatureRadius, m, omega) -> CurvatureRadius:
         sigma'^2 = sigma^2 / d,          d = 1^T Omega^{-1} M Omega p.
 
     Applying the same map with ``1/m`` (and the same ``omega``) inverts it.
+    A raw ``omega`` is validated as a
+    :class:`~resgeo.resistance.ResistanceMatrix`.
     """
-    om = omega.omega if isinstance(omega, ResistanceMatrix) else as_square(omega)
+    om = _resistance(omega)
     scaling = np.asarray(m, dtype=float)
     if scaling.ndim != 1 or scaling.size != om.shape[0]:
         raise ValidationError("balancing vector has wrong shape")

@@ -109,7 +109,7 @@ def embed(q: SignedLaplacianQ) -> Embedding:
     eig = q.eig
     n = q.n
     lam = eig.values[: n - 1]
-    if n >= 2 and lam.min(initial=np.inf) <= 0.0:
+    if lam.min() <= 0.0:
         raise NumericError(
             "nonpositive eigenvalue among the expected positive modes; "
             "input is not a valid signed Laplacian"

@@ -11,7 +11,13 @@ import numpy as np
 
 from .errors import NumericError, ValidationError
 from .graph import DirectedLaplacian, SignedLaplacianQ
-from .linalg import SIGNED_EDGE_TOL, _scale, centering_projector, pseudoinverse
+from .linalg import (
+    SIGNED_EDGE_TOL,
+    _require_two_nodes,
+    _scale,
+    centering_projector,
+    pseudoinverse,
+)
 
 #: Draws :func:`random_class_q` makes before it gives up.
 MAX_CLASS_Q_DRAWS = 64
@@ -21,17 +27,15 @@ def _cycle_edges(order):
     return [(order[i], order[(i + 1) % len(order)]) for i in range(len(order))]
 
 
-def random_scwb_laplacian(n, rng, extra_cycles=None):
+def random_scwb_laplacian(n, rng):
     """Random strongly connected weight-balanced directed Laplacian.
 
     A sum of weighted directed cycles: one Hamiltonian cycle (giving
     strong connectivity) plus a few shorter ones.  Every cycle is
     individually balanced, so the sum is weight-balanced by construction.
     """
-    if n < 2:
-        raise ValueError("need at least two nodes")
-    if extra_cycles is None:
-        extra_cycles = int(rng.integers(1, max(2, n)))
+    _require_two_nodes(n)
+    extra_cycles = int(rng.integers(1, max(2, n)))
     adjacency = np.zeros((n, n))
     tours = [rng.permutation(n)]
     for _ in range(extra_cycles):
@@ -47,12 +51,10 @@ def random_scwb_laplacian(n, rng, extra_cycles=None):
     return DirectedLaplacian(lap)
 
 
-def random_sc_laplacian(n, rng, extra_edges=None):
+def random_sc_laplacian(n, rng):
     """Random strongly connected directed Laplacian, generally unbalanced."""
-    if n < 2:
-        raise ValueError("need at least two nodes")
-    if extra_edges is None:
-        extra_edges = int(rng.integers(1, 2 * n))
+    _require_two_nodes(n)
+    extra_edges = int(rng.integers(1, 2 * n))
     adjacency = np.zeros((n, n))
     for src, dst in _cycle_edges(list(rng.permutation(n))):
         adjacency[src, dst] += float(rng.uniform(0.5, 2.0))
@@ -68,8 +70,7 @@ def random_sc_laplacian(n, rng, extra_edges=None):
 def random_unsigned_laplacian(n, rng, extra_edges=None):
     """Random connected undirected unsigned Laplacian (as a signed-class
     member whose off-diagonal happens to be nonpositive)."""
-    if n < 2:
-        raise ValueError("need at least two nodes")
+    _require_two_nodes(n)
     if extra_edges is None:
         extra_edges = int(rng.integers(0, n))
     adjacency = np.zeros((n, n))
@@ -99,8 +100,7 @@ def random_class_q(n, rng, ensure_signed=False):
     until some off-diagonal entry exceeds ``SIGNED_EDGE_TOL * |Q|_max`` (a
     signed edge).
     """
-    if n < 2:
-        raise ValueError("need at least two nodes")
+    _require_two_nodes(n)
     j = centering_projector(n)
     for _ in range(MAX_CLASS_Q_DRAWS):
         h = rng.normal(size=(n, n))
@@ -126,6 +126,7 @@ def random_class_q(n, rng, ensure_signed=False):
 
 def random_keep(n, rng, size=None):
     """Random kept node set (ascending) with at least two nodes."""
+    _require_two_nodes(n)
     if size is None:
         size = int(rng.integers(2, n + 1))
     size = max(2, min(n, size))

@@ -39,7 +39,9 @@ from .linalg import (
     CONSTRUCTION_TOL,
     ROUNDOFF_TOL,
     STRUCTURAL_TOL,
+    _require_two_nodes,
     _scale,
+    _signature,
     as_square,
     normalize_indices,
     pseudoinverse,
@@ -75,10 +77,10 @@ class DirectedLaplacian:
     of the off-diagonal part by construction.  Strong connectivity and
     weight balance are computed once at construction and cached: the
     graph is strongly connected when the forward and the backward closure
-    of node 0 both cover every node (a single node counts as connected),
-    and weight balanced when each column sum is at most ``STRUCTURAL_TOL``
-    times that column's absolute sum, so a light column is judged by its
-    own weights and not by the heaviest one.
+    of node 0 both cover every node, and weight balanced when each column
+    sum is at most ``STRUCTURAL_TOL`` times that column's absolute sum, so
+    a light column is judged by its own weights and not by the heaviest
+    one.
 
     Three factorizations are filled in on first use and then shared by
     every function that derives from them: the :class:`WeightBalancing`
@@ -89,8 +91,9 @@ class DirectedLaplacian:
     Raises
     ------
     ValidationError
-        If an off-diagonal entry is positive or a row sum is nonzero
-        beyond ``ROUNDOFF_TOL`` times the largest entry.
+        If the graph has fewer than two nodes, an off-diagonal entry is
+        positive, or a row sum is nonzero beyond ``ROUNDOFF_TOL`` times the
+        largest entry.
     """
 
     __slots__ = ("matrix", "n", "strongly_connected", "weight_balanced",
@@ -99,8 +102,7 @@ class DirectedLaplacian:
     def __init__(self, matrix):
         m = as_square(matrix, "laplacian").copy()
         n = m.shape[0]
-        if n < 1:
-            raise ValidationError("laplacian must have at least one node")
+        _require_two_nodes(n)
         scale = _scale(m)
         rowsum = np.abs(m.sum(axis=1)).max()
         np.fill_diagonal(m, 0.0)
@@ -162,7 +164,7 @@ class SignedLaplacianQ:
 
     def __repr__(self):
         off = self.matrix - np.diag(np.diag(self.matrix))
-        kind = "signed" if off.size and off.max() > 0 else "unsigned"
+        kind = "signed" if off.max() > 0 else "unsigned"
         return f"SignedLaplacianQ(n={self.n}, {kind})"
 
 
@@ -171,19 +173,18 @@ def _classify_q(matrix):
 
     Returns ``(failure, details, checked)``.  ``failure`` is ``None`` on
     success, otherwise the reason string of the first check that fails
-    (asymmetry, nonzero row sums, indefiniteness, oversized kernel,
-    nonpositive diagonal).  ``details`` holds the residuals behind the
-    verdict, and ``checked`` is the pair of the symmetrized matrix with
-    recomputed diagonal and its eigendecomposition (``None`` on failure).
-    Callers that report a failure rather than raise read it from here.
+    (fewer than two nodes, asymmetry, nonzero row sums, indefiniteness,
+    oversized kernel, nonpositive diagonal).  ``details`` holds the
+    residuals behind the verdict, and ``checked`` is the pair of the
+    symmetrized matrix with recomputed diagonal and its eigendecomposition
+    (``None`` on failure).  Callers that report a failure rather than raise
+    read it from here.
     """
     try:
         m = as_square(matrix, "matrix")
+        _require_two_nodes(m.shape[0])
     except ValidationError as exc:
         return str(exc), {}, None
-    n = m.shape[0]
-    if n < 1:
-        return "matrix must have at least one node", {}, None
     scale = _scale(m)
     details = {}
     asym = float(np.abs(m - m.T).max())
@@ -201,15 +202,12 @@ def _classify_q(matrix):
     np.fill_diagonal(cleaned, -off.sum(axis=1))
     eig = sym_eig(cleaned)
     w = eig.values
-    peak = float(np.abs(w).max())
     details["eigenvalue_min"] = float(w[-1])
-    if peak == 0.0:
-        kernel = n
-    else:
-        if w[-1] < -STRUCTURAL_TOL * peak:
-            return (f"not positive semidefinite (eigenvalue {w[-1]:.3e})",
-                    details, None)
-        kernel = int(np.sum(np.abs(w) <= STRUCTURAL_TOL * peak))
+    signature = _signature(w)
+    if signature.negative:
+        return (f"not positive semidefinite (eigenvalue {w[-1]:.3e})",
+                details, None)
+    kernel = signature.zero
     details["kernel_dimension"] = kernel
     if kernel != 1:
         return (f"kernel has dimension {kernel}, expected exactly span(1)",
@@ -254,14 +252,13 @@ def laplacian_from_edges(n, edges):
     Raises
     ------
     ValidationError
-        On edges that are not triples.
+        On fewer than two nodes or edges that are not triples.
     EdgeError
         On non-integer or out-of-range endpoints, self-loops, or
         nonpositive weights.  It names the first offending edge and the
         first of these checks it fails.
     """
-    if n < 1:
-        raise ValidationError("node count must be at least 1")
+    _require_two_nodes(n)
     e = np.asarray(edges, dtype=float)
     if e.size and e.shape[1:] != (3,):
         raise ValidationError(f"edges must be (src, dst, weight) triples, got shape {e.shape}")
@@ -280,6 +277,16 @@ def laplacian_from_edges(n, edges):
     lap = -adjacency
     np.fill_diagonal(lap, adjacency.sum(axis=1))
     return DirectedLaplacian(lap)
+
+
+def _require(lap, what, balanced=False, hint=""):
+    """Raise :class:`StructureError` naming the operation ``what`` unless
+    ``lap`` is strongly connected and, if ``balanced``, weight balanced
+    (the message then ends with ``hint``)."""
+    if not lap.strongly_connected:
+        raise StructureError(f"{what} requires a strongly connected graph")
+    if balanced and not lap.weight_balanced:
+        raise StructureError(f"{what} requires a weight-balanced graph{hint}")
 
 
 @dataclass(frozen=True)
@@ -324,14 +331,8 @@ def weight_balance(lap: DirectedLaplacian) -> WeightBalancing:
 
 
 def _balance(lap):
-    if not lap.strongly_connected:
-        raise StructureError(
-            "weight balancing requires a strongly connected graph"
-        )
+    _require(lap, "weight_balance")
     n = lap.n
-    if n == 1:
-        m = np.ones(1)
-        return WeightBalancing(m=m, balanced=lap)
     # m^T L = 0 with m_0 = 1 grounds node 0: for a strongly connected graph
     # the remaining block of L^T is a nonsingular M-matrix and the right
     # side is nonnegative, so m > 0 with no rank decision.
@@ -387,11 +388,7 @@ def sym_pinv(lap: DirectedLaplacian) -> np.ndarray:
 def _shared_sym_pinv(lap):
     """``L_s^+`` of ``lap`` as the read-only array kept on it."""
     if lap._sym_pinv is None:
-        if not lap.strongly_connected:
-            raise StructureError(
-                "symmetrized pseudoinverse geometry requires strong "
-                "connectivity"
-            )
+        _require(lap, "sym_pinv")
         p = pseudoinverse(lap.matrix)
         ls = (p + p.T) / 2.0
         ls.setflags(write=False)

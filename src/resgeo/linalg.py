@@ -31,6 +31,8 @@ that the rest of the package relies on:
 * a matrix whose kernel contains ``1`` is read on ``1``-perp through the
   Householder reflector of :func:`_reflected`, which keeps that kernel
   direction exact;
+* every object has at least two nodes: :func:`_require_two_nodes` refuses
+  an input with fewer where it enters.  The primitives take any matrix;
 * every tolerance of the package is defined here, next to :func:`_scale`.
   A check compares its residual with a tolerance times the operands it
   checks (``_scale``, the largest entry, with no floor; a column's
@@ -86,10 +88,24 @@ KKT_TOL = 1e-9
 #: Closed-form versus coordinate-recomputed angle cosines.
 ANGLE_TOL = 1e-9
 
+#: An eigenvector entry above this times its column's largest entry is
+#: significant: the first such entry gets a positive sign.
+LEADING_ENTRY_TOL = 1e-8
+
 #: An off-diagonal entry of ``Q`` above this times ``|Q|_max`` is a signed
 #: edge for ``random_class_q``: ten times ``STRUCTURAL_TOL``, so the
 #: ``classify_metric`` label of its draws is not decided at the threshold.
 SIGNED_EDGE_TOL = 1e-8
+
+
+def _require_two_nodes(n):
+    """Refuse fewer than two nodes, with one message: a resistance is
+    measured between two nodes, and a simplex on n nodes has dimension
+    ``n - 1``."""
+    if n < 2:
+        raise ValidationError(
+            f"resistance geometry needs at least two points (nodes), got {n}"
+        )
 
 
 def _scale(m):
@@ -126,7 +142,7 @@ def _fix_signs(vectors):
     if vectors.size == 0:
         return vectors
     mags = np.abs(vectors)
-    lead = np.argmax(mags > 1e-8 * mags.max(axis=0), axis=0)
+    lead = np.argmax(mags > LEADING_ENTRY_TOL * mags.max(axis=0), axis=0)
     flip = vectors[lead, np.arange(vectors.shape[1])] < 0
     np.negative(vectors, out=vectors, where=flip)
     return vectors
@@ -161,13 +177,13 @@ class Inertia:
 
 
 def sym_eig(a):
-    """Eigendecomposition of a square matrix symmetric within ``1e-9`` of its
-    magnitude; more asymmetry is a contract violation.  Returns a
-    :class:`SymEig` of descending eigenvalues and sign-fixed orthonormal
-    eigenvectors."""
+    """Eigendecomposition of a square matrix symmetric within
+    ``STRUCTURAL_TOL`` of its magnitude; more asymmetry is a contract
+    violation.  Returns a :class:`SymEig` of descending eigenvalues and
+    sign-fixed orthonormal eigenvectors."""
     m = as_square(a)
     asym = np.abs(m - m.T).max(initial=0.0)
-    if asym > 1e-9 * _scale(m):
+    if asym > STRUCTURAL_TOL * _scale(m):
         raise ValidationError(f"matrix is not symmetric (asymmetry {asym:.3e})")
     w, v = np.linalg.eigh((m + m.T) / 2.0)
     order = np.argsort(w)[::-1]
@@ -223,13 +239,15 @@ def schur_complement(a, keep):
 
 
 def inertia(s):
-    """Signature of a symmetric matrix.
+    """Signature of a symmetric matrix, counted by :func:`_signature`."""
+    return _signature(sym_eig(s).values)
 
-    Eigenvalues within the fixed relative cut ``1e-9 * max|lambda|`` of zero
-    count as zero.
-    """
-    w = sym_eig(s).values
-    thr = 1e-9 * (np.abs(w).max() if w.size else 0.0)
+
+def _signature(w):
+    """:class:`Inertia` of a spectrum ``w``: eigenvalues within the relative
+    cut ``STRUCTURAL_TOL * max|w|`` of zero count as zero, so an all-zero or
+    empty ``w`` is all kernel."""
+    thr = STRUCTURAL_TOL * _scale(w)
     pos = int(np.sum(w > thr))
     neg = int(np.sum(w < -thr))
     return Inertia(positive=pos, negative=neg, zero=w.size - pos - neg)
@@ -239,14 +257,12 @@ def _reflected(m):
     """``H m`` for a vector ``m``, ``H m H`` for a symmetric matrix ``m``.
 
     ``H = I - beta u u^T``, ``u = 1/sqrt(n) - e_n``, is the Householder
-    reflector that swaps ``e_n`` and ``1/sqrt(n)`` (the identity at n = 1);
-    its first ``n - 1`` columns are an orthonormal basis of ``1``-perp.  So
-    ``H m H`` has a zero last row and column when ``m 1 = 0``, with no rank
-    decision.  ``H m H`` is two rank-one updates, O(n^2).
+    reflector that swaps ``e_n`` and ``1/sqrt(n)`` (``n >= 2``); its first
+    ``n - 1`` columns are an orthonormal basis of ``1``-perp.  So ``H m H``
+    has a zero last row and column when ``m 1 = 0``, with no rank decision.
+    ``H m H`` is two rank-one updates, O(n^2).
     """
     n = m.shape[0]
-    if n == 1:
-        return m.copy()
     u = np.full(n, 1.0 / math.sqrt(n))
     u[-1] -= 1.0
     beta = 2.0 / (u @ u)

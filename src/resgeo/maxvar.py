@@ -1,12 +1,14 @@
 """Maximum graph variance over the probability simplex.
 
 The problem: maximize ``(1/2) f^T Omega f`` over distributions ``f`` on
-the nodes, where ``Omega`` is a symmetric resistance matrix.  At an
-optimum the gradient ``Omega f`` is constant on the support and no larger
-off it, which is what :func:`verify_kkt` measures.  The maximizer is the
-subset curvature vector of its own support and the optimal value is that
-subset's squared resistance radius, so the solvers and the curvature
-machinery check each other.
+the nodes, where ``Omega`` is a symmetric resistance matrix: a
+:class:`~resgeo.resistance.ResistanceMatrix` of a symmetric kind, or a raw
+matrix that passes its validation as one.  At an optimum the gradient
+``Omega f`` is constant on the support and no larger off it, which is
+what :func:`verify_kkt` measures.  The maximizer is the subset curvature
+vector of its own support and the optimal value is that subset's squared
+resistance radius, so the solvers and the curvature machinery check each
+other.
 
 Two solvers are provided.  :func:`solve_maxvar_exact` enumerates supports
 (largest first) and certifies the stationary distribution on each face;
@@ -43,13 +45,11 @@ from .linalg import (
     IDENTITY_TOL,
     INTERIOR_TOL,
     KKT_TOL,
-    STRUCTURAL_TOL,
     SUM_TOL,
     _scale,
-    as_square,
 )
 from .resistance import (
-    ResistanceMatrix,
+    _resistance,
     resistance_matrix_q,
     resistance_matrix_scwb,
 )
@@ -104,11 +104,8 @@ class CharacterizationReport:
 
 
 def _as_omega(omega):
-    m = omega.omega if isinstance(omega, ResistanceMatrix) else as_square(omega)
-    if np.abs(m - m.T).max(initial=0.0) > STRUCTURAL_TOL * _scale(m):
-        raise ValidationError(
-            "variance maximization needs a symmetric resistance matrix"
-        )
+    """``omega`` validated as a symmetric resistance matrix, symmetrized."""
+    m = _resistance(omega, symmetric=True)
     return (m + m.T) / 2.0
 
 
@@ -207,9 +204,6 @@ def solve_maxvar_exact(omega) -> MaxVarSolution:
         raise CapacityError(
             f"exact enumeration is capped at {MAX_EXACT_NODES} nodes, got {n}"
         )
-    if n == 1:
-        return MaxVarSolution(f=np.ones(1), support=np.array([0]), value=0.0,
-                              kkt_residual=0.0, method="exact")
     tol_cert = KKT_TOL * _scale(om)
     for size in range(n, 1, -1):
         for nodes in itertools.combinations(range(n), size):
@@ -240,7 +234,7 @@ def solve_maxvar(omega) -> MaxVarSolution:
     Raises
     ------
     ValidationError
-        If ``Omega`` is zero.
+        If ``omega`` is not a symmetric resistance matrix.
     NumericError
         If a face cannot be solved (not a valid resistance matrix).
     ConvergenceError
@@ -249,15 +243,9 @@ def solve_maxvar(omega) -> MaxVarSolution:
     """
     om = _as_omega(omega)
     n = om.shape[0]
-    if n == 1:
-        return MaxVarSolution(f=np.ones(1), support=np.array([0]), value=0.0,
-                              kkt_residual=0.0, method="iterative")
-    peak = _scale(om)
-    if peak == 0.0:
-        raise ValidationError("resistance matrix must be nonzero")
     f = np.eye(1, n)[0]
     nodes = np.array([0])
-    tol_cert = KKT_TOL * peak
+    tol_cert = KKT_TOL * _scale(om)
     history = []
     solves = 0
     while True:
@@ -310,7 +298,7 @@ def characterize(solution: MaxVarSolution, source) -> CharacterizationReport:
     elif isinstance(source, DirectedLaplacian):
         omega = resistance_matrix_scwb(source)
     else:
-        omega = ResistanceMatrix(_as_omega(source), kind="class_q")
+        omega = _as_omega(source)
     cr = subset_curvature_radius(omega, solution.support)
     curvature_residual = float(
         np.abs(solution.f[solution.support] - cr.p).max()

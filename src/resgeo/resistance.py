@@ -28,12 +28,12 @@ import numpy as np
 from .errors import (
     MetricClassificationError,
     NumericError,
-    StructureError,
     ValidationError,
 )
 from .graph import (
     DirectedLaplacian,
     SignedLaplacianQ,
+    _require,
     _shared_sym_pinv,
     weight_balance,
 )
@@ -42,7 +42,9 @@ from .linalg import (
     ROUNDOFF_TOL,
     STRUCTURAL_TOL,
     _reflected,
+    _require_two_nodes,
     _scale,
+    _signature,
     as_square,
     sym_eig,
 )
@@ -56,7 +58,10 @@ class ResistanceMatrix:
 
     ``omega[a, b]`` is the resistance from source ``a`` to target ``b``;
     symmetric for kinds ``scwb`` and ``class_q``, generally asymmetric for
-    ``directed_sc``.  Off-diagonal entries are strictly positive.
+    ``directed_sc``.  The validation is the one resistance-matrix contract,
+    raw inputs included: at least two nodes, strictly positive off-diagonal
+    entries, and, within ``STRUCTURAL_TOL * |Omega|_max``, a zero diagonal
+    (then set to exactly zero) and the symmetry of a symmetric kind.
     """
 
     omega: np.ndarray
@@ -67,11 +72,12 @@ class ResistanceMatrix:
             raise ValidationError(f"unknown resistance kind {self.kind!r}")
         m = as_square(self.omega, "omega").copy()
         n = m.shape[0]
-        if np.abs(np.diag(m)).max(initial=0.0) > STRUCTURAL_TOL * _scale(m):
+        _require_two_nodes(n)
+        if np.abs(np.diag(m)).max() > STRUCTURAL_TOL * _scale(m):
             raise ValidationError("resistance matrix must have zero diagonal")
         np.fill_diagonal(m, 0.0)
         off = m + np.diag(np.full(n, np.inf))
-        if n > 1 and off.min() <= 0.0:
+        if off.min() <= 0.0:
             raise ValidationError(
                 "off-diagonal resistances must be strictly positive"
             )
@@ -79,7 +85,7 @@ class ResistanceMatrix:
             asym = np.abs(m - m.T).max()
             if asym > STRUCTURAL_TOL * _scale(m):
                 raise ValidationError(
-                    f"kind {self.kind!r} requires symmetry "
+                    "resistance matrix must be symmetric "
                     f"(deviation {asym:.3e})"
                 )
         m.setflags(write=False)
@@ -88,6 +94,19 @@ class ResistanceMatrix:
     @property
     def n(self):
         return self.omega.shape[0]
+
+
+def _resistance(omega, symmetric=False):
+    """The array of a :class:`ResistanceMatrix`, or of a raw matrix that
+    passes its validation (as a symmetric kind when ``symmetric``, which
+    also refuses a ``directed_sc`` object)."""
+    if not isinstance(omega, ResistanceMatrix):
+        kind = "scwb" if symmetric else "directed_sc"
+        return ResistanceMatrix(omega, kind).omega
+    if symmetric and omega.kind == "directed_sc":
+        raise ValidationError("a symmetric resistance matrix is needed, "
+                              "got kind 'directed_sc'")
+    return omega.omega
 
 
 def effective_resistance_directed(lap: DirectedLaplacian, a: int, b: int) -> float:
@@ -116,12 +135,8 @@ def effective_resistance_directed(lap: DirectedLaplacian, a: int, b: int) -> flo
 
 def resistance_matrix_scwb(lap: DirectedLaplacian) -> ResistanceMatrix:
     """Resistance matrix of a strongly connected weight-balanced graph."""
-    if not lap.strongly_connected:
-        raise StructureError("resistance matrix requires strong connectivity")
-    if not lap.weight_balanced:
-        raise StructureError(
-            "this route requires weight balance; use resistance_matrix_sc"
-        )
+    _require(lap, "resistance_matrix_scwb", balanced=True,
+             hint="; use resistance_matrix_sc")
     return ResistanceMatrix(_omega_from_kernel(_shared_sym_pinv(lap)),
                             kind="scwb")
 
@@ -135,8 +150,7 @@ def resistance_matrix_sc(lap: DirectedLaplacian) -> ResistanceMatrix:
     symmetric kind is returned.  The balancing and ``L_s^+`` of the balanced
     graph are the ones kept on ``lap``; neither is recomputed.
     """
-    if not lap.strongly_connected:
-        raise StructureError("resistance matrix requires strong connectivity")
+    _require(lap, "resistance_matrix_sc")
     if lap.weight_balanced:
         return resistance_matrix_scwb(lap)
     balancing = weight_balance(lap)
@@ -209,23 +223,21 @@ def _classify(distance):
     """
     d = as_square(distance, "distance")
     n = d.shape[0]
-    if n < 2:
-        raise ValidationError("distance matrix needs at least two points")
+    _require_two_nodes(n)
     scale = _scale(d)
-    if np.abs(d - d.T).max(initial=0.0) > ROUNDOFF_TOL * scale:
+    if np.abs(d - d.T).max() > ROUNDOFF_TOL * scale:
         raise ValidationError("distance matrix must be symmetric")
-    if np.abs(np.diag(d)).max(initial=0.0) > STRUCTURAL_TOL * scale:
+    if np.abs(np.diag(d)).max() > STRUCTURAL_TOL * scale:
         raise ValidationError("distance matrix must have zero diagonal")
     if d.min() < -STRUCTURAL_TOL * scale:
         raise ValidationError("distance matrix must be nonnegative")
     eig = sym_eig(-0.5 * _reflected(d)[:-1, :-1])
-    w = eig.values
-    thr = STRUCTURAL_TOL * (float(np.abs(w).max()) if w.size else 0.0)
-    if w.size and w[-1] <= thr:
+    signature = _signature(eig.values)
+    if signature.negative or signature.zero:
         # The smallest eigenvalue is negative, or zero: an extra kernel
         # direction.  H maps its eigenvector, padded with a 0, into 1-perp.
         witness = _reflected(np.append(eig.vectors[:, -1], 0.0))
-        label = "not_negative_type" if w[-1] < -thr else "negative_type"
+        label = "not_negative_type" if signature.negative else "negative_type"
         return MetricClass(label=label, witness=witness), None
     gram_pinv = np.zeros((n, n))
     gram_pinv[:-1, :-1] = eig.pinv()

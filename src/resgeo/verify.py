@@ -32,33 +32,15 @@ class PropertyResult:
     passed: bool
 
 
-class _Suite:
-    def __init__(self, seed, cases, n_max):
-        self.seed = seed
-        self.cases = cases
-        self.n_max = max(3, n_max)
-        self.results = []
-
-    def run(self, name, threshold, fn):
-        rng = np.random.default_rng([self.seed, len(self.results)])
-        worst = 0.0
-        count = 0
-        for _ in range(self.cases):
-            worst = max(worst, float(fn(rng)))
-            count += 1
-        self.results.append(PropertyResult(
-            name=name, cases=count, max_residual=worst,
-            threshold=threshold, passed=worst <= threshold,
-        ))
-
-    def size(self, rng, lo=3, hi=None):
-        hi = self.n_max if hi is None else min(hi, self.n_max)
-        lo = min(lo, hi)
-        return int(rng.integers(lo, hi + 1))
+def _size(rng, n_max, lo=3, hi=None):
+    """A random node count in ``[lo, hi]``, with ``hi`` capped at ``n_max``."""
+    hi = n_max if hi is None else min(hi, n_max)
+    lo = min(lo, hi)
+    return int(rng.integers(lo, hi + 1))
 
 
-def _penrose(rng, suite):
-    n = suite.size(rng)
+def _penrose(rng, n_max):
+    n = _size(rng, n_max)
     m = rng.normal(size=(n, int(rng.integers(2, n + 2))))
     p = la.pseudoinverse(m)
     return max(
@@ -73,7 +55,7 @@ def _orthogonal(rng, n):
     return np.linalg.qr(rng.normal(size=(n, n)))[0]
 
 
-def _inertia_congruence(rng, suite):
+def _inertia_congruence(rng, n_max):
     """Sylvester's law of inertia: ``C^T S C`` has the signature of ``S``.
 
     ``S = V diag(l) V^T`` has each ``|l_i|`` in [1, 2] or 0, and ``C`` has
@@ -82,7 +64,7 @@ def _inertia_congruence(rng, suite):
     nonzero one is at least 1/200 of the largest, far above ``inertia``'s
     1e-9 zero cut.  An unbounded ``C`` keeps no such margin.
     """
-    n = suite.size(rng)
+    n = _size(rng, n_max)
     v = _orthogonal(rng, n)
     s = (v * (rng.uniform(1.0, 2.0, n) * rng.choice([-1.0, 0.0, 1.0], n))) @ v.T
     s = (s + s.T) / 2.0
@@ -92,8 +74,8 @@ def _inertia_congruence(rng, suite):
     return 0.0 if (a.positive, a.negative, a.zero) == (b.positive, b.negative, b.zero) else 1.0
 
 
-def _balanced_pinv_commutes(rng, suite):
-    n = suite.size(rng)
+def _balanced_pinv_commutes(rng, n_max):
+    n = _size(rng, n_max)
     lap = gen.random_scwb_laplacian(n, rng)
     pinv = la.pseudoinverse(lap.matrix)
     j = la.centering_projector(n)
@@ -114,8 +96,8 @@ def _pinv_via_shift(lap, gamma=1.0):
     return inv - ones / gamma
 
 
-def _shifted_pinv(rng, suite):
-    n = suite.size(rng)
+def _shifted_pinv(rng, n_max):
+    n = _size(rng, n_max)
     lap = gen.random_scwb_laplacian(n, rng)
     pinv = la.pseudoinverse(lap.matrix)
     return max(
@@ -162,10 +144,10 @@ def _gth_kron(lap, keep):
     return np.diag(w.sum(axis=1)) - w
 
 
-def _kron_vs_gth(rng, suite):
+def _kron_vs_gth(rng, n_max):
     """Off-diagonal gap to GTH, relative to the GTH entry, or to the row's
     diagonal where that entry is 0."""
-    n = suite.size(rng)
+    n = _size(rng, n_max)
     lap = gen.random_sc_laplacian(n, rng)
     keep = gen.random_keep(n, rng)
     gth = _gth_kron(lap, keep)
@@ -174,8 +156,8 @@ def _kron_vs_gth(rng, suite):
     return (gap / np.where(gth != 0.0, np.abs(gth), np.diag(gth)[:, None])).max()
 
 
-def _weight_balance(rng, suite):
-    n = suite.size(rng)
+def _weight_balance(rng, n_max):
+    n = _size(rng, n_max)
     lap = gen.random_sc_laplacian(n, rng)
     wb = gr.weight_balance(lap)
     residuals = [
@@ -190,15 +172,15 @@ def _weight_balance(rng, suite):
     return max(residuals)
 
 
-def _undirect_membership(rng, suite):
-    n = suite.size(rng)
+def _undirect_membership(rng, n_max):
+    n = _size(rng, n_max)
     lap = gen.random_scwb_laplacian(n, rng)
     q = cv.undirect(lap)
     return 0.0 if gr._classify_q(q.matrix)[0] is None else 1.0
 
 
-def _kron_preservation(rng, suite):
-    n = suite.size(rng, lo=4)
+def _kron_preservation(rng, n_max):
+    n = _size(rng, n_max, lo=4)
     lap = gen.random_scwb_laplacian(n, rng)
     keep = gen.random_keep(n, rng, size=int(rng.integers(2, n)))
     result = kr.kron_reduce(lap, keep)
@@ -206,8 +188,8 @@ def _kron_preservation(rng, suite):
     return 0.0 if flags.strongly_connected and flags.weight_balanced else 1.0
 
 
-def _resistance_invariance(rng, suite):
-    n = suite.size(rng, lo=4)
+def _resistance_invariance(rng, n_max):
+    n = _size(rng, n_max, lo=4)
     lap = gen.random_sc_laplacian(n, rng)
     keep = gen.random_keep(n, rng, size=int(rng.integers(2, n)))
     before = rs.resistance_matrix_sc(lap).omega[np.ix_(keep, keep)]
@@ -215,8 +197,8 @@ def _resistance_invariance(rng, suite):
     return np.abs(before - after).max()
 
 
-def _pairwise_consistency(rng, suite):
-    n = suite.size(rng, hi=8)
+def _pairwise_consistency(rng, n_max):
+    n = _size(rng, n_max, hi=8)
     lap = gen.random_sc_laplacian(n, rng)
     omega = rs.resistance_matrix_sc(lap).omega
     worst = 0.0
@@ -228,8 +210,8 @@ def _pairwise_consistency(rng, suite):
     return worst
 
 
-def _omega_inertia(rng, suite):
-    n = suite.size(rng)
+def _omega_inertia(rng, n_max):
+    n = _size(rng, n_max)
     if rng.integers(2):
         omega = rs.resistance_matrix_scwb(gen.random_scwb_laplacian(n, rng))
     else:
@@ -239,20 +221,16 @@ def _omega_inertia(rng, suite):
     return 0.0 if ok else 1.0
 
 
-def _sqrt_triangle(rng, suite):
-    n = suite.size(rng)
+def _sqrt_triangle(rng, n_max):
+    n = _size(rng, n_max)
     omega = rs.resistance_matrix_q(gen.random_class_q(n, rng)).omega
     d = np.sqrt(omega)
-    worst = 0.0
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                worst = max(worst, d[i, j] - d[i, k] - d[k, j])
-    return max(0.0, worst)
+    # [i, j, k] holds d[i, j] - d[i, k] - d[k, j]
+    return max(0.0, float((d[:, :, None] - d[:, None, :] - d.T[None]).max()))
 
 
-def _fbi(rng, suite):
-    n = suite.size(rng)
+def _fbi(rng, n_max):
+    n = _size(rng, n_max)
     if rng.integers(2):
         source = gen.random_scwb_laplacian(n, rng)
     else:
@@ -260,8 +238,8 @@ def _fbi(rng, suite):
     return cv.verify_fiedler_bapat(source).residual
 
 
-def _corollary_identities(rng, suite):
-    n = suite.size(rng)
+def _corollary_identities(rng, n_max):
+    n = _size(rng, n_max)
     lap = gen.random_scwb_laplacian(n, rng)
     # K from eigh, independent of the SVD route the package keeps
     kernel = la.sym_eig(gr.sym_pinv(lap)).pinv()
@@ -283,15 +261,15 @@ def _corollary_identities(rng, suite):
     )
 
 
-def _commutativity(rng, suite):
-    n = suite.size(rng, lo=4)
+def _commutativity(rng, n_max):
+    n = _size(rng, n_max, lo=4)
     lap = gen.random_scwb_laplacian(n, rng)
     keep = gen.random_keep(n, rng, size=int(rng.integers(2, n)))
     return cv.check_commutativity(lap, keep).residual
 
 
-def _curvature_reduction(rng, suite):
-    n = suite.size(rng, lo=4)
+def _curvature_reduction(rng, n_max):
+    n = _size(rng, n_max, lo=4)
     lap = gen.random_scwb_laplacian(n, rng)
     keep = gen.random_keep(n, rng, size=int(rng.integers(2, n)))
     via_formula = cv.reduce_curvature_radius(lap, keep)
@@ -302,8 +280,8 @@ def _curvature_reduction(rng, suite):
     )
 
 
-def _sc_curvature(rng, suite):
-    n = suite.size(rng)
+def _sc_curvature(rng, n_max):
+    n = _size(rng, n_max)
     balanced = gen.random_scwb_laplacian(n, rng)
     a = cv.curvature_radius_sc(balanced)
     b = cv.curvature_radius_scwb(balanced)
@@ -321,8 +299,8 @@ def _sc_curvature(rng, suite):
                abs(back.sigma2 - original.sigma2))
 
 
-def _radius_subsets(rng, suite):
-    n = suite.size(rng)
+def _radius_subsets(rng, n_max):
+    n = _size(rng, n_max)
     lap = gen.random_scwb_laplacian(n, rng)
     omega = rs.resistance_matrix_scwb(lap).omega
 
@@ -340,8 +318,8 @@ def _radius_subsets(rng, suite):
     return worst
 
 
-def _maxvar_agreement(rng, suite):
-    n = suite.size(rng, hi=10)
+def _maxvar_agreement(rng, n_max):
+    n = _size(rng, n_max, hi=10)
     q = gen.random_class_q(n, rng)
     omega = rs.resistance_matrix_q(q)
     exact = mv.solve_maxvar_exact(omega)
@@ -357,8 +335,8 @@ def _maxvar_agreement(rng, suite):
     return worst
 
 
-def _embedding(rng, suite):
-    n = suite.size(rng)
+def _embedding(rng, n_max):
+    n = _size(rng, n_max)
     q = gen.random_class_q(n, rng)
     emb = embed(q)
     b = emb.coordinates
@@ -386,8 +364,8 @@ def _embedding(rng, suite):
     )
 
 
-def _angles(rng, suite):
-    n = suite.size(rng)
+def _angles(rng, n_max):
+    n = _size(rng, n_max)
     q = gen.random_class_q(n, rng)
     emb = embed(q)
     check = verify_angles_geometric(q, emb)
@@ -396,8 +374,8 @@ def _angles(rng, suite):
     return max(check.dihedral_deviation, check.vertex_deviation)
 
 
-def _metric_labels(rng, suite):
-    n = suite.size(rng)
+def _metric_labels(rng, n_max):
+    n = _size(rng, n_max)
     unsigned = gen.random_unsigned_laplacian(n, rng)
     label_u = rs.classify_metric(rs.resistance_matrix_q(unsigned).omega).label
     worst = 0.0 if label_u == "resistance_metric" else 1.0
@@ -444,7 +422,14 @@ def run_verification(seed=1, cases=50, n_max=12):
     Returns a list of :class:`PropertyResult`, one per property, in a
     fixed order.  ``cases=0`` produces an empty (passing) run.
     """
-    suite = _Suite(seed=seed, cases=cases, n_max=n_max)
-    for name, threshold, fn in _PROPERTIES:
-        suite.run(name, threshold, lambda rng, f=fn: f(rng, suite))
-    return suite.results
+    n_max = max(3, n_max)
+    results = []
+    for k, (name, threshold, fn) in enumerate(_PROPERTIES):
+        rng = np.random.default_rng([seed, k])
+        worst = 0.0
+        for _ in range(cases):
+            worst = max(worst, float(fn(rng, n_max)))
+        results.append(PropertyResult(name=name, cases=cases,
+                                      max_residual=worst, threshold=threshold,
+                                      passed=worst <= threshold))
+    return results

@@ -249,9 +249,14 @@ def test_class_q_rejections():
 
 
 def test_class_q_needs_positive_diagonal():
+    # A one-node matrix fails on size before any class check.  From two
+    # nodes on, a PSD matrix with kernel span(1) has Q_ii = e_i^T Q e_i > 0,
+    # so the diagonal check passes, and its detail reports the smallest.
     failure, details, checked = _classify_q(np.zeros((1, 1)))
-    assert failure.startswith("diagonal entry") and checked is None
-    assert details["diagonal_min"] == 0.0
+    assert "at least two points" in failure and checked is None
+    assert details == {}
+    failure, details, _ = _classify_q(np.array([[2.0, -2.0], [-2.0, 2.0]]))
+    assert failure is None and details["diagonal_min"] == 2.0
 
 
 @settings(max_examples=30, deadline=None)

@@ -85,7 +85,7 @@ def test_asymmetric_omega_rejected():
 
 def test_exact_capacity_cap():
     with pytest.raises(CapacityError):
-        solve_maxvar_exact(np.zeros((16, 16)) + SINGLE_EDGE.repeat(8, 0).repeat(8, 1))
+        solve_maxvar_exact(np.ones((16, 16)) - np.eye(16))
 
 
 def test_solvers_agree_on_random_instances():

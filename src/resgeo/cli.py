@@ -14,8 +14,10 @@ Input files come in two formats, detected by the presence of commas:
 
 :func:`load_graph` returns the library's own object, a
 :class:`~resgeo.graph.DirectedLaplacian` or a
-:class:`~resgeo.graph.SignedLaplacianQ`, and each subcommand branches on
-its type.
+:class:`~resgeo.graph.SignedLaplacianQ`.  :func:`main` loads the input
+once and hands the object to the subcommand, which branches on its type
+and returns its outputs and residuals; :func:`main` builds the report and
+the exit code.
 
 Reports are JSON on stdout with reals at 17 significant digits; reruns on
 identical inputs are byte-identical.  Exit codes: 0 ok, 1 validation
@@ -27,6 +29,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -55,7 +58,6 @@ from .resistance import (
     classify_metric,
     resistance_matrix_q,
     resistance_matrix_sc,
-    resistance_matrix_scwb,
 )
 from .verify import _pinv_via_shift, run_verification
 
@@ -224,8 +226,15 @@ def _parse_keep(text, n):
     return sorted(v - 1 for v in set(nodes))
 
 
-def _cmd_check(args):
-    g = load_graph(args.input, args.as_laplacian)
+def _resistance_of(g):
+    """The resistance matrix of a loaded graph: the directed route, which
+    is the symmetric one on a balanced graph, or the signed one."""
+    if isinstance(g, DirectedLaplacian):
+        return resistance_matrix_sc(g)
+    return resistance_matrix_q(g)
+
+
+def _cmd_check(g, args):
     directed = isinstance(g, DirectedLaplacian)
     matrix = g.matrix
     # Q is exactly symmetric, so its kept eigh is that of (Q + Q^T) / 2.
@@ -247,65 +256,44 @@ def _cmd_check(args):
         residuals["shifted_pinv"] = float(
             np.abs(shift - pseudoinverse(matrix)).max()
         )
-    return {"outputs": outputs, "residuals": residuals}, EXIT_OK
+    return outputs, residuals
 
 
-def _cmd_kron(args):
-    g = load_graph(args.input, args.as_laplacian)
+def _cmd_kron(g, args):
     keep = _parse_keep(args.keep, g.n)
-    if isinstance(g, DirectedLaplacian):
+    directed = isinstance(g, DirectedLaplacian)
+    if directed:
         result = kron_reduce(g, keep)
-        outputs = {
-            "reduced": result.reduced.matrix,
-            "kept": [int(i) + 1 for i in result.kept],
-            "preserved": {
-                "row_sums_zero": result.preserved.row_sums_zero,
-                "offdiag_nonpos": result.preserved.offdiag_nonpos,
-                "weight_balanced": result.preserved.weight_balanced,
-                "strongly_connected": result.preserved.strongly_connected,
-            },
-        }
-        residuals = {}
-        if g.strongly_connected:
-            before = resistance_matrix_sc(g).omega
-            after = resistance_matrix_sc(result.reduced).omega
-            residuals["resistance_invariance"] = float(
-                np.abs(before[np.ix_(keep, keep)] - after).max()
-            )
+        reduced, preserved = result.reduced, asdict(result.preserved)
     else:
         reduced = kron_reduce_q(g, keep)
-        before = resistance_matrix_q(g).omega
-        after = resistance_matrix_q(reduced).omega
-        outputs = {
-            "reduced": reduced.matrix,
-            "kept": [int(i) + 1 for i in keep],
-            "preserved": {"class_q": True},
-        }
-        residuals = {"resistance_invariance": float(
-            np.abs(before[np.ix_(keep, keep)] - after).max()
-        )}
-    return {"outputs": outputs, "residuals": residuals}, EXIT_OK
-
-
-def _cmd_resistance(args):
-    g = load_graph(args.input, args.as_laplacian)
-    if isinstance(g, DirectedLaplacian):
-        rm = resistance_matrix_sc(g)
-    else:
-        rm = resistance_matrix_q(g)
-    sig = inertia(rm.omega) if rm.kind != "directed_sc" else None
+        preserved = {"class_q": True}
     outputs = {
-        "kind": rm.kind,
-        "omega": rm.omega,
+        "reduced": reduced.matrix,
+        "kept": [i + 1 for i in keep],
+        "preserved": preserved,
     }
-    if sig is not None:
+    residuals = {}
+    if not directed or g.strongly_connected:
+        before = _resistance_of(g).omega
+        after = _resistance_of(reduced).omega
+        residuals["resistance_invariance"] = float(
+            np.abs(before[np.ix_(keep, keep)] - after).max()
+        )
+    return outputs, residuals
+
+
+def _cmd_resistance(g, args):
+    rm = _resistance_of(g)
+    outputs = {"kind": rm.kind, "omega": rm.omega}
+    if rm.kind != "directed_sc":
+        sig = inertia(rm.omega)
         outputs["inertia"] = [sig.positive, sig.negative, sig.zero]
         outputs["metric_class"] = classify_metric(rm.omega).label
-    return {"outputs": outputs, "residuals": {}}, EXIT_OK
+    return outputs, {}
 
 
-def _cmd_curvature(args):
-    g = load_graph(args.input, args.as_laplacian)
+def _cmd_curvature(g, args):
     fb = None
     if isinstance(g, DirectedLaplacian):
         if g.strongly_connected and g.weight_balanced:
@@ -324,22 +312,13 @@ def _cmd_curvature(args):
     residuals = {}
     if fb is not None:
         residuals["fiedler_bapat"] = fb.residual
-    return {"outputs": outputs, "residuals": residuals}, EXIT_OK
+    return outputs, residuals
 
 
-def _cmd_maxvar(args):
-    g = load_graph(args.input, args.as_laplacian)
-    if isinstance(g, DirectedLaplacian):
-        if not (g.strongly_connected and g.weight_balanced):
-            raise ValidationError(
-                "variance maximization needs a symmetric resistance matrix; "
-                "input must be weight-balanced (or a signed Laplacian)"
-            )
-        omega = resistance_matrix_scwb(g)
-    else:
-        omega = resistance_matrix_q(g)
+def _cmd_maxvar(g, args):
+    omega = _resistance_of(g)
     solution = solve_maxvar(omega)
-    report = characterize(solution, g)
+    report = characterize(solution, omega)
     outputs = {
         "f": solution.f,
         "support": [int(i) + 1 for i in solution.support],
@@ -351,11 +330,10 @@ def _cmd_maxvar(args):
         "support_curvature": report.curvature_residual,
         "radius_value": report.value_residual,
     }
-    return {"outputs": outputs, "residuals": residuals}, EXIT_OK
+    return outputs, residuals
 
 
-def _cmd_embed(args):
-    g = load_graph(args.input, args.as_laplacian)
+def _cmd_embed(g, args):
     q = undirect(g) if isinstance(g, DirectedLaplacian) else g
     emb = embed(q)
     geo = simplex_geometry(q, emb)
@@ -376,11 +354,10 @@ def _cmd_embed(args):
         "dihedral": angles.dihedral_deviation,
         "vertex": angles.vertex_deviation,
     }
-    return {"outputs": outputs, "residuals": residuals}, EXIT_OK
+    return outputs, residuals
 
 
-def _cmd_balance(args):
-    g = load_graph(args.input, args.as_laplacian)
+def _cmd_balance(g, args):
     if not isinstance(g, DirectedLaplacian):
         raise ValidationError("balance applies to directed Laplacians")
     wb = weight_balance(g)
@@ -402,7 +379,7 @@ def _cmd_balance(args):
             abs(transported.sigma2 - direct.sigma2),
         )),
     }
-    return {"outputs": outputs, "residuals": residuals}, EXIT_OK
+    return outputs, residuals
 
 
 def _cmd_verify(args):
@@ -423,9 +400,7 @@ def _cmd_verify(args):
             for r in results
         ],
     }
-    all_passed = all(r.passed for r in results)
-    return ({"outputs": outputs, "residuals": {}},
-            EXIT_OK if all_passed else EXIT_VERIFICATION)
+    return outputs, {}
 
 
 def build_parser():
@@ -460,7 +435,6 @@ def build_parser():
     p_verify.add_argument("--seed", type=int, default=1)
     p_verify.add_argument("--cases", type=int, default=50)
     p_verify.add_argument("--n-max", type=int, default=12)
-    p_verify.set_defaults(handler=_cmd_verify)
     return parser
 
 
@@ -469,7 +443,13 @@ def main(argv=None):
     args = parser.parse_args(argv)
     inputs = _echo_inputs(args)
     try:
-        body, code = args.handler(args)
+        if args.command == "verify":
+            outputs, residuals = _cmd_verify(args)
+        else:
+            # Not bound here: the graph and its kept factorizations are
+            # freed before the report is written.
+            outputs, residuals = args.handler(
+                load_graph(args.input, args.as_laplacian), args)
     except ResgeoError as exc:
         code = EXIT_VALIDATION if isinstance(exc, ValidationError) else EXIT_NUMERIC
         _emit({
@@ -479,12 +459,14 @@ def main(argv=None):
             "error": {"type": type(exc).__name__, "message": str(exc)},
         })
         return code
-    report = {"command": args.command,
-              "status": "ok" if code == EXIT_OK else "fail",
-              "inputs": inputs}
-    report.update(body)
-    _emit(report)
-    return code
+    passed = args.command != "verify" or all(
+        prop["passed"] for prop in outputs["properties"])
+    _emit({"command": args.command,
+           "status": "ok" if passed else "fail",
+           "inputs": inputs,
+           "outputs": outputs,
+           "residuals": residuals})
+    return EXIT_OK if passed else EXIT_VERIFICATION
 
 
 def _echo_inputs(args):

@@ -250,7 +250,7 @@ def subset_curvature_radius(omega, subset) -> CurvatureRadius:
     subset in ascending order.  Needs at least two nodes.  A raw ``omega``
     is validated as a :class:`~resgeo.resistance.ResistanceMatrix`.
     """
-    om = _resistance(omega)
+    om = _resistance(omega).omega
     sub = normalize_indices(subset, om.shape[0], min_size=2, name="subset")
     return _solved(om[np.ix_(sub, sub)], "resistance principal block")
 
@@ -279,7 +279,7 @@ def wb_transform(cr: CurvatureRadius, m, omega) -> CurvatureRadius:
     A raw ``omega`` is validated as a
     :class:`~resgeo.resistance.ResistanceMatrix`.
     """
-    om = _resistance(omega)
+    om = _resistance(omega).omega
     scaling = np.asarray(m, dtype=float)
     if scaling.ndim != 1 or scaling.size != om.shape[0]:
         raise ValidationError("balancing vector has wrong shape")
@@ -299,10 +299,14 @@ def check_commutativity(lap: DirectedLaplacian, keep) -> CommutativityCheck:
     ``(L_s^+)^+`` onto the kept nodes equals ``((L/e)_s^+)^+`` of the
     Kron-reduced graph.  The check passes when their largest difference
     is at most ``IDENTITY_TOL`` times the largest entry of the first.
+    Both sides are the ``(L_s^+)^+`` kept on each graph; the reduced graph
+    of a balanced one is balanced, and neither is validated as a
+    :class:`~resgeo.graph.SignedLaplacianQ`.
     """
+    _require(lap, "check_commutativity", balanced=True)
     kept = normalize_indices(keep, lap.n, min_size=2)
-    lhs = schur_complement(undirect(lap).matrix, kept)
-    rhs = undirect(kron_reduce(lap, kept).reduced).matrix
+    lhs = schur_complement(_shared_kernel(lap), kept)
+    rhs = _shared_kernel(kron_reduce(lap, kept).reduced)
     residual = float(np.abs(lhs - rhs).max())
     return CommutativityCheck(lhs=lhs, rhs=rhs, residual=residual)
 
@@ -345,17 +349,13 @@ def reduce_curvature_radius(lap: DirectedLaplacian, keep) -> CurvatureRadius:
     return CurvatureRadius(p=p_red, sigma2=sigma2_red, zeta=None)
 
 
-def curvature_radius_q(q: SignedLaplacianQ, subset=None) -> CurvatureRadius:
-    """Curvature and radius of a signed Laplacian, whole graph or subset.
+def curvature_radius_q(q: SignedLaplacianQ) -> CurvatureRadius:
+    """Curvature and radius of a signed Laplacian, closed form.
 
-    The whole graph, or a subset covering every node, takes the
-    Fiedler-Bapat closed form in ``Q`` and ``Q^+`` and also reports
-    ``zeta = diag(Q^+)``.  A proper subset is read off the principal block
-    of the resistance matrix by :func:`subset_curvature_radius`.
+    The Fiedler-Bapat closed form in ``Q`` and ``Q^+``, which also reports
+    ``zeta = diag(Q^+)``.  A subset's pair is read off the principal block
+    of the resistance matrix:
+    ``subset_curvature_radius(resistance_matrix_q(q), subset)``.
     """
-    if subset is not None:
-        sub = normalize_indices(subset, q.n, min_size=2, name="subset")
-        if sub.size < q.n:
-            return subset_curvature_radius(_omega_from_kernel(q.pinv), sub)
     _, _, zeta, p, sigma2 = _closed_form(q)
     return CurvatureRadius(p=p, sigma2=sigma2, zeta=zeta)

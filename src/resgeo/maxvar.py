@@ -103,16 +103,12 @@ class CharacterizationReport:
                    self.value_residual / self.curvature.sigma2) <= IDENTITY_TOL
 
 
-def _as_omega(omega):
-    """``omega`` validated as a symmetric resistance matrix, symmetrized."""
-    m = _resistance(omega, symmetric=True)
-    return (m + m.T) / 2.0
-
-
 def _check_distribution(f, n):
     v = np.asarray(f, dtype=float)
     if v.shape != (n,):
         raise ValidationError(f"distribution must have shape ({n},)")
+    if not np.all(np.isfinite(v)):
+        raise ValidationError("distribution contains non-finite entries")
     if v.min() < -INTERIOR_TOL:
         raise ValidationError("distribution entries must be nonnegative")
     if abs(v.sum() - 1.0) > SUM_TOL:
@@ -122,7 +118,7 @@ def _check_distribution(f, n):
 
 def variance(omega, f) -> float:
     """Graph variance ``(1/2) f^T Omega f`` of a distribution."""
-    om = _as_omega(omega)
+    om = _resistance(omega, symmetric=True).omega
     v = _check_distribution(f, om.shape[0])
     return float(0.5 * v @ om @ v)
 
@@ -136,7 +132,7 @@ def verify_kkt(omega, f) -> KktCheck:
     ``KKT_TOL`` times the largest entry of ``|Omega|``, with no floor, so
     the verdict does not change when ``Omega`` is scaled.
     """
-    om = _as_omega(omega)
+    om = _resistance(omega, symmetric=True).omega
     v = _check_distribution(f, om.shape[0])
     support = np.flatnonzero(v > INTERIOR_TOL)
     if support.size == 0:
@@ -198,7 +194,7 @@ def solve_maxvar_exact(omega) -> MaxVarSolution:
     NumericError
         If no face certifies, which signals an invalid resistance matrix.
     """
-    om = _as_omega(omega)
+    om = _resistance(omega, symmetric=True).omega
     n = om.shape[0]
     if n > MAX_EXACT_NODES:
         raise CapacityError(
@@ -241,7 +237,7 @@ def solve_maxvar(omega) -> MaxVarSolution:
         If ``MAX_FACE_SOLVES`` face solves do not certify; carries the
         residual history.
     """
-    om = _as_omega(omega)
+    om = _resistance(omega, symmetric=True).omega
     n = om.shape[0]
     f = np.eye(1, n)[0]
     nodes = np.array([0])
@@ -289,16 +285,18 @@ def characterize(solution: MaxVarSolution, source) -> CharacterizationReport:
     """Compare a maximizer against the curvature of its own support.
 
     ``source`` may be a signed Laplacian, an SCWB directed Laplacian, or
-    the resistance matrix itself.  The maximizer restricted to its support
-    should be that subset's curvature vector, and the optimal variance the
-    subset's squared radius.
+    the resistance matrix itself: a symmetric
+    :class:`~resgeo.resistance.ResistanceMatrix`, read as it is, or a raw
+    matrix, validated once as one.  The maximizer restricted to its
+    support should be that subset's curvature vector, and the optimal
+    variance the subset's squared radius.
     """
     if isinstance(source, SignedLaplacianQ):
         omega = resistance_matrix_q(source)
     elif isinstance(source, DirectedLaplacian):
         omega = resistance_matrix_scwb(source)
     else:
-        omega = _as_omega(source)
+        omega = _resistance(source, symmetric=True)
     cr = subset_curvature_radius(omega, solution.support)
     curvature_residual = float(
         np.abs(solution.f[solution.support] - cr.p).max()

@@ -61,7 +61,12 @@ class ResistanceMatrix:
     ``directed_sc``.  The validation is the one resistance-matrix contract,
     raw inputs included: at least two nodes, strictly positive off-diagonal
     entries, and, within ``STRUCTURAL_TOL * |Omega|_max``, a zero diagonal
-    (then set to exactly zero) and the symmetry of a symmetric kind.
+    (then set to exactly zero) and the symmetry of a symmetric kind.  A
+    symmetric kind is stored as ``(Omega + Omega^T) / 2``, exactly
+    symmetric, so a routine that needs symmetry reads ``omega`` as it is;
+    every matrix the library builds is exactly symmetric already and keeps
+    its bits.  A raw matrix passed to any routine is validated this way
+    once, where it enters.
     """
 
     omega: np.ndarray
@@ -88,6 +93,8 @@ class ResistanceMatrix:
                     "resistance matrix must be symmetric "
                     f"(deviation {asym:.3e})"
                 )
+            if asym:  # an exactly symmetric m is its own (m + m^T) / 2
+                m = (m + m.T) / 2.0
         m.setflags(write=False)
         object.__setattr__(self, "omega", m)
 
@@ -97,16 +104,15 @@ class ResistanceMatrix:
 
 
 def _resistance(omega, symmetric=False):
-    """The array of a :class:`ResistanceMatrix`, or of a raw matrix that
-    passes its validation (as a symmetric kind when ``symmetric``, which
+    """``omega`` as a :class:`ResistanceMatrix`: an object as it is, a raw
+    matrix validated as one (as a symmetric kind when ``symmetric``, which
     also refuses a ``directed_sc`` object)."""
     if not isinstance(omega, ResistanceMatrix):
-        kind = "scwb" if symmetric else "directed_sc"
-        return ResistanceMatrix(omega, kind).omega
+        return ResistanceMatrix(omega, "scwb" if symmetric else "directed_sc")
     if symmetric and omega.kind == "directed_sc":
         raise ValidationError("a symmetric resistance matrix is needed, "
                               "got kind 'directed_sc'")
-    return omega.omega
+    return omega
 
 
 def effective_resistance_directed(lap: DirectedLaplacian, a: int, b: int) -> float:

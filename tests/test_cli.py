@@ -153,6 +153,20 @@ def test_signed_laplacian_input(capsys, signed_file):
     assert report["residuals"]["kkt"] < 1e-9
 
 
+@pytest.mark.parametrize("text, error", [
+    ("2,-2\n-1,1\n", "ValidationError"),
+    ("0,0\n0,0\n", "StructureError"),
+], ids=["unbalanced", "disconnected"])
+def test_maxvar_needs_a_symmetric_resistance_matrix(capsys, tmp_path,
+                                                    text, error):
+    # The library's own refusal, from the resistance matrix of the input.
+    path = tmp_path / "graph.csv"
+    path.write_text(text)
+    code, report = run_cli(capsys, "maxvar", str(path), "--as-laplacian")
+    assert code == 1
+    assert report["error"]["type"] == error
+
+
 def test_csv_of_neither_class_names_both_failures(capsys, tmp_path):
     path = tmp_path / "neither.csv"
     path.write_text("1,1,-2\n-1,2,-1\n0,-1,1\n")
@@ -245,21 +259,81 @@ RERUN_CASES = (
 )
 
 
-@pytest.mark.parametrize("source, command", RERUN_CASES, ids=[
-    command if source == "edge_file" else f"signed-{command}"
-    for source, command in RERUN_CASES
-])
-def test_output_is_byte_identical(capsys, request, source, command):
+RERUN_IDS = [command if source == "edge_file" else f"signed-{command}"
+             for source, command in RERUN_CASES]
+
+
+def _rerun_argv(request, source, command):
     argv = [command, request.getfixturevalue(source)]
     if source == "signed_file":
         argv.append("--as-laplacian")
     if command == "kron":
         argv += ["--keep", "1,2,4"]
+    return argv
+
+
+@pytest.mark.parametrize("source, command", RERUN_CASES, ids=RERUN_IDS)
+def test_output_is_byte_identical(capsys, request, source, command):
+    argv = _rerun_argv(request, source, command)
     assert main(argv) == 0
     first = capsys.readouterr().out
     main(argv)
     second = capsys.readouterr().out
     assert first == second
+
+
+#: The parsed report of every ``RERUN_CASES`` call, keyed by its test id,
+#: as recorded before the subcommands shared one loading and reporting
+#: path; the echoed input path is stored as ``<input>``.
+RECORDED_REPORTS = json.loads(
+    (Path(__file__).resolve().parent / "cli_reports.json").read_text())
+
+
+def _numbers(value):
+    if isinstance(value, dict):
+        return [x for item in value.values() for x in _numbers(item)]
+    if isinstance(value, list):
+        return [x for item in value for x in _numbers(item)]
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return [abs(value)]
+    return []
+
+
+def _assert_close(got, want, tol, where):
+    """Same keys in the same order, same non-numbers, numbers within tol."""
+    if isinstance(want, dict):
+        assert list(got) == list(want), where
+        for key in want:
+            _assert_close(got[key], want[key], tol, f"{where}.{key}")
+    elif isinstance(want, list):
+        assert isinstance(got, list) and len(got) == len(want), where
+        for k, (a, b) in enumerate(zip(got, want)):
+            _assert_close(a, b, tol, f"{where}[{k}]")
+    elif isinstance(want, (int, float)) and not isinstance(want, bool):
+        # The writer prints an integral float without a point, so an int
+        # and a float may stand for the same real.
+        assert isinstance(got, (int, float)) and not isinstance(got, bool), where
+        assert abs(got - want) <= tol, (where, got, want)
+    else:
+        assert type(got) is type(want) and got == want, where
+
+
+@pytest.mark.parametrize("source, command", RERUN_CASES, ids=RERUN_IDS)
+def test_report_matches_the_recorded_one(capsys, request, source, command):
+    # Outputs agree within 1e-12 of the report's largest number; the
+    # residuals are roundoff, so only their keys and order are held.
+    argv = _rerun_argv(request, source, command)
+    code, report = run_cli(capsys, *argv)
+    assert code == 0
+    assert report["inputs"]["input"] == argv[1]
+    report["inputs"]["input"] = "<input>"
+    want = RECORDED_REPORTS[request.node.callspec.id]
+    assert list(report) == list(want)
+    for key in ("command", "status", "inputs"):
+        _assert_close(report[key], want[key], 0.0, key)
+    assert list(report["residuals"]) == list(want["residuals"])
+    tol = 1e-12 * max(_numbers(want["outputs"]))
+    _assert_close(report["outputs"], want["outputs"], tol, "outputs")
 
 
 MAXVAR_GOLDEN_TEXT = """\

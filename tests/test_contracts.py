@@ -140,6 +140,15 @@ def test_symmetry_is_required_where_the_routine_needs_it(entry):
     subset_curvature_radius(directed, range(4))
 
 
+@pytest.mark.parametrize("entry", [variance, verify_kkt])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_distributions_must_be_finite(entry, bad):
+    # A NaN passed the sign and sum checks, and verify_kkt then certified
+    # [nan, 1, 0] with residual 0.
+    with pytest.raises(ValidationError, match="non-finite"):
+        entry(np.ones((3, 3)) - np.eye(3), [bad, 1.0, 0.0])
+
+
 # -- one connectivity and balance precondition --------------------------------
 
 def _laplacian(adjacency):

@@ -328,7 +328,7 @@ def test_noncommutativity_witness():
 
 
 def test_curvature_radius_q_subset():
-    cr = curvature_radius_q(P3, subset=[0, 2])
+    cr = subset_curvature_radius(resistance_matrix_q(P3), [0, 2])
     assert abs(cr.sigma2 - 0.5) < 1e-12
     full = curvature_radius_q(P3)
     assert full.zeta is not None
@@ -340,7 +340,5 @@ def test_curvature_radius_q_subset():
     for q in [P3, K3] + draws:
         closed = curvature_radius_q(q)
         solved = subset_curvature_radius(resistance_matrix_q(q), range(q.n))
-        assert np.array_equal(curvature_radius_q(q, subset=range(q.n)).p,
-                              closed.p)
         assert np.abs(closed.p - solved.p).max() <= 1e-10 * np.abs(solved.p).max()
         assert abs(closed.sigma2 - solved.sigma2) <= 1e-10 * solved.sigma2

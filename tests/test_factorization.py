@@ -119,7 +119,7 @@ SOLUTION = solve_maxvar(resistance_matrix_q(Q30))
 @pytest.mark.parametrize("derive, gated", [
     (resistance_matrix_q, 0),
     (curvature_radius_q, 0),
-    (lambda q: curvature_radius_q(q, subset=range(10)), 1),
+    (lambda q: subset_curvature_radius(resistance_matrix_q(q), range(10)), 1),
     (verify_fiedler_bapat, 0),
     (embed, 0),
     (lambda q: simplex_geometry(q, embed(q)), 0),
@@ -268,7 +268,10 @@ def test_kron_elimination_is_gated_without_svd(kernels, derive):
 def test_commutativity_gates_its_kernel_block_by_svd(kernels):
     # The K = (L_s^+)^+ block has positive off-diagonal entries, so it
     # keeps the SVD gate (1 cond + 1 solve); the Kron side takes 2 solves.
+    # Each side reads the K kept on its graph, an SVD of L and one of
+    # L_s^+, and validates no signed Laplacian, so no eigh.
     check_commutativity(DirectedLaplacian(SCWB20), HALF)
+    assert (kernels["svd"], kernels["eigh"]) == (4, 0)
     assert (kernels["cond"], kernels["solve"]) == (1, 3)
 
 

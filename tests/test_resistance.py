@@ -113,6 +113,19 @@ def test_resistance_matrix_validations():
         rm.omega[0, 1] = 5.0
 
 
+@pytest.mark.parametrize("kind", ["scwb", "class_q"])
+def test_symmetric_kinds_are_stored_exactly_symmetric(kind):
+    # Within the symmetry tolerance the input is accepted and stored as
+    # (m + m^T) / 2; an exactly symmetric input keeps its bits.
+    m = np.array([[0.0, 1.0, 2.0], [1.0 + 2e-16, 0.0, 1.0], [2.0, 1.0, 0.0]])
+    stored = ResistanceMatrix(m, kind).omega
+    assert np.array_equal(stored, stored.T)
+    assert np.array_equal(stored, (m + m.T) / 2.0)
+    assert np.array_equal(ResistanceMatrix(stored, kind).omega, stored)
+    directed = ResistanceMatrix(m, "directed_sc").omega
+    assert np.array_equal(directed, m)
+
+
 def test_classify_unsigned_is_resistance_metric():
     rng = np.random.default_rng(21)
     for _ in range(5):

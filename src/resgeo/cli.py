@@ -48,6 +48,7 @@ from .graph import (
     EdgeError,
     SignedLaplacianQ,
     _classify_q,
+    _laplacian,
     laplacian_from_edges,
     weight_balance,
 )
@@ -187,20 +188,19 @@ def load_graph(path, as_laplacian=False):
     if any("," in text for _, text in lines):
         matrix = _parse_matrix(lines, path)
         if not as_laplacian:
-            off = matrix.copy()
-            np.fill_diagonal(off, 0.0)
-            if off.min() < 0.0:
-                raise ValidationError(
-                    f"{path}: adjacency entries must be nonnegative "
-                    "(use --as-laplacian for Laplacian input)"
-                )
             if np.abs(np.diag(matrix)).max(initial=0.0) != 0.0:
                 raise ValidationError(
                     f"{path}: adjacency diagonal must be zero"
                 )
-            lap = -off
-            np.fill_diagonal(lap, off.sum(axis=1))
-            return DirectedLaplacian(lap)
+            if matrix.min() < 0.0:
+                raise ValidationError(
+                    f"{path}: adjacency entries must be nonnegative "
+                    "(use --as-laplacian for Laplacian input)"
+                )
+            try:
+                return DirectedLaplacian(_laplacian(matrix))
+            except ValidationError as exc:
+                raise ValidationError(f"{path}: {exc}") from exc
         try:
             return DirectedLaplacian(matrix)
         except ValidationError as directed_error:
@@ -237,10 +237,11 @@ def _resistance_of(g):
 def _cmd_check(g, args):
     directed = isinstance(g, DirectedLaplacian)
     matrix = g.matrix
-    # Q is exactly symmetric, so its kept eigh is that of (Q + Q^T) / 2.
-    spectrum = (sym_eig((matrix + matrix.T) / 2.0).values if directed
-                else g.eig.values)
-    failure, details, _ = _classify_q(matrix)
+    # The class check factors (M + M^T) / 2 with its diagonal rebuilt from
+    # the row sums, which is M itself for a symmetric Laplacian M.
+    failure, details, checked = _classify_q(matrix)
+    spectrum = (checked[1] if checked else
+                sym_eig((matrix + matrix.T) / 2.0)).values
     outputs = {
         "n": g.n,
         "input_kind": "directed" if directed else "class_q",
@@ -389,16 +390,7 @@ def _cmd_verify(args):
         "seed": args.seed,
         "cases": args.cases,
         "n_max": args.n_max,
-        "properties": [
-            {
-                "name": r.name,
-                "cases": r.cases,
-                "max_residual": r.max_residual,
-                "threshold": r.threshold,
-                "passed": r.passed,
-            }
-            for r in results
-        ],
+        "properties": [asdict(r) for r in results],
     }
     return outputs, {}
 

@@ -172,10 +172,12 @@ def undirect(lap: DirectedLaplacian) -> SignedLaplacianQ:
 
 def _closed_form(source):
     """``(kernel, kernel_pinv, zeta, p, sigma2)`` from ``Q`` and ``Q^+``, or
-    from the kept ``K`` and ``L_s^+``; a computed ``K`` carries roundoff
-    along ``1``, so it multiplies through the centering."""
-    signed = isinstance(source, SignedLaplacianQ)
-    if signed:
+    from the kept ``K`` and ``L_s^+``, by one formula for both classes:
+    the closed form with ``K`` multiplied through the centering ``J``.  It
+    equals the plain form since ``K 1 = 0``, and it drops the roundoff a
+    computed ``K`` or ``Q`` carries along ``1``, which ``K zeta`` adds to
+    ``sum(p)``."""
+    if isinstance(source, SignedLaplacianQ):
         kernel, kernel_pinv = source.matrix, source.pinv
     elif isinstance(source, DirectedLaplacian):
         _require(source, "the Fiedler-Bapat closed form", balanced=True)
@@ -184,13 +186,9 @@ def _closed_form(source):
         raise ValidationError("expected a DirectedLaplacian or "
                               f"SignedLaplacianQ, got {type(source).__name__}")
     zeta, n = np.diag(kernel_pinv).copy(), source.n
-    if signed:
-        p = 0.5 * kernel @ zeta + 1.0 / n
-        sigma2 = float(0.25 * zeta @ kernel @ zeta + zeta.sum() / n)
-    else:
-        kz = kernel @ (zeta - zeta.mean())  # J K J zeta, J the centering
-        kz -= kz.mean()
-        p, sigma2 = 0.5 * kz + 1.0 / n, float(0.25 * zeta @ kz + zeta.mean())
+    kz = kernel @ (zeta - zeta.mean())  # J K J zeta
+    kz -= kz.mean()
+    p, sigma2 = 0.5 * kz + 1.0 / n, float(0.25 * zeta @ kz + zeta.mean())
     return kernel, kernel_pinv, zeta, p, sigma2
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import NumericError, ValidationError
-from .graph import DirectedLaplacian, SignedLaplacianQ
+from .graph import DirectedLaplacian, SignedLaplacianQ, _laplacian
 from .linalg import (
     SIGNED_EDGE_TOL,
     _require_two_nodes,
@@ -46,9 +46,7 @@ def random_scwb_laplacian(n, rng):
         for src, dst in _cycle_edges(list(order)):
             if src != dst:
                 adjacency[src, dst] += weight
-    lap = -adjacency
-    np.fill_diagonal(lap, adjacency.sum(axis=1))
-    return DirectedLaplacian(lap)
+    return DirectedLaplacian(_laplacian(adjacency))
 
 
 def random_sc_laplacian(n, rng):
@@ -62,17 +60,14 @@ def random_sc_laplacian(n, rng):
         src, dst = rng.integers(0, n, size=2)
         if src != dst:
             adjacency[src, dst] += float(rng.uniform(0.5, 2.0))
-    lap = -adjacency
-    np.fill_diagonal(lap, adjacency.sum(axis=1))
-    return DirectedLaplacian(lap)
+    return DirectedLaplacian(_laplacian(adjacency))
 
 
-def random_unsigned_laplacian(n, rng, extra_edges=None):
+def random_unsigned_laplacian(n, rng):
     """Random connected undirected unsigned Laplacian (as a signed-class
     member whose off-diagonal happens to be nonpositive)."""
     _require_two_nodes(n)
-    if extra_edges is None:
-        extra_edges = int(rng.integers(0, n))
+    extra_edges = int(rng.integers(0, n))
     adjacency = np.zeros((n, n))
     order = rng.permutation(n)
     for i in range(1, n):
@@ -86,9 +81,7 @@ def random_unsigned_laplacian(n, rng, extra_edges=None):
             w = float(rng.uniform(0.5, 2.0))
             adjacency[a, b] += w
             adjacency[b, a] += w
-    lap = -adjacency
-    np.fill_diagonal(lap, adjacency.sum(axis=1))
-    return SignedLaplacianQ(lap)
+    return SignedLaplacianQ(_laplacian(adjacency))
 
 
 def random_class_q(n, rng, ensure_signed=False):

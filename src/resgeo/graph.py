@@ -70,6 +70,16 @@ def _reached(matrix, seeds):
     return seen
 
 
+def _laplacian(weights):
+    """``diag(W 1) - W``: the Laplacian whose edge weights are the entries
+    of ``W``, a weight matrix with a zero diagonal, and whose diagonal is
+    its row sums.  Every Laplacian the library forms is built here; only
+    ``verify``'s GTH route, an independent check, builds its own."""
+    lap = -weights
+    np.fill_diagonal(lap, weights.sum(axis=1))
+    return lap
+
+
 class DirectedLaplacian:
     """Laplacian of a weighted directed graph without self-loops.
 
@@ -116,7 +126,7 @@ class DirectedLaplacian:
             raise ValidationError(
                 f"row sums deviate from zero by {rowsum:.3e}"
             )
-        np.fill_diagonal(m, -m.sum(axis=1))
+        m = _laplacian(-m)
         m.setflags(write=False)
         self.matrix = m
         self.n = n
@@ -196,10 +206,9 @@ def _classify_q(matrix):
     details["row_sum"] = rowsum
     if rowsum > STRUCTURAL_TOL * scale:
         return f"row sums deviate from zero by {rowsum:.3e}", details, None
-    cleaned = sym.copy()
-    off = cleaned.copy()
+    off = sym.copy()
     np.fill_diagonal(off, 0.0)
-    np.fill_diagonal(cleaned, -off.sum(axis=1))
+    cleaned = _laplacian(-off)
     eig = sym_eig(cleaned)
     w = eig.values
     details["eigenvalue_min"] = float(w[-1])
@@ -274,9 +283,7 @@ def laplacian_from_edges(n, edges):
     # add.at applies repeated (src, dst) pairs one after another, so
     # duplicate edges sum in the order given, as a loop of += would.
     np.add.at(adjacency, tuple(ends.T.astype(int)), weight)
-    lap = -adjacency
-    np.fill_diagonal(lap, adjacency.sum(axis=1))
-    return DirectedLaplacian(lap)
+    return DirectedLaplacian(_laplacian(adjacency))
 
 
 def _require(lap, what, balanced=False, hint=""):
@@ -310,8 +317,13 @@ def weight_balance(lap: DirectedLaplacian) -> WeightBalancing:
     return the same :class:`WeightBalancing`, whose ``balanced`` Laplacian
     in turn keeps its own factorizations.
 
-    ``m`` is the left null vector with ``m_0 = 1`` from one solve with the
-    grounded block ``L^T[1:, 1:]``, then scaled to ``sum(m) = n``.
+    ``m`` is the left null vector of a grounded solve, scaled to
+    ``sum(m) = n``.  Grounding node ``k`` fixes ``m_k = 1`` and solves
+    ``m^T L = 0`` without column ``k``, whose sum then collects the other
+    columns' residuals.  The solve grounds the heaviest node (largest
+    ``m``) of a first solve grounded at node 0: the collected residual is
+    then small against that column, and the choice does not depend on how
+    the nodes are labeled.
 
     Raises
     ------
@@ -319,44 +331,45 @@ def weight_balance(lap: DirectedLaplacian) -> WeightBalancing:
         If the graph is not strongly connected (the left null vector is
         then not unique or not positive).
     NumericError
-        If the grounded block is singular, an entry of ``m`` is not
+        If a grounded block is singular, an entry of ``m`` is not
         positive, or a column sum of the balanced Laplacian exceeds
-        ``CONSTRUCTION_TOL`` times its largest entry.
+        ``CONSTRUCTION_TOL`` times that column's diagonal entry; a
+        balancing returned is thus flagged ``weight_balanced``.
     """
     if lap._balancing is None:
-        balancing = _balance(lap)
-        balancing.m.setflags(write=False)
-        lap._balancing = balancing
+        _require(lap, "weight_balance")
+        lt = lap.matrix.T
+        m = _grounded(lt, int(np.argmax(_grounded(lt, 0))))
+        if not m.min() > 0.0:
+            raise NumericError(
+                "computed left null vector is not strictly positive; "
+                f"minimum component {m.min():.3e}"
+            )
+        m = lap.n * m / m.sum()
+        m.setflags(write=False)
+        balanced = DirectedLaplacian(m[:, None] * lap.matrix)
+        colsum = np.abs(balanced.matrix.sum(axis=0)) / np.diag(balanced.matrix)
+        j = int(np.argmax(colsum))
+        if colsum[j] > CONSTRUCTION_TOL:
+            raise NumericError(f"balancing failed: column {j} sums to "
+                               f"{colsum[j]:.3e} times its diagonal entry")
+        lap._balancing = WeightBalancing(m=m, balanced=balanced)
     return lap._balancing
 
 
-def _balance(lap):
-    _require(lap, "weight_balance")
-    n = lap.n
-    # m^T L = 0 with m_0 = 1 grounds node 0: for a strongly connected graph
-    # the remaining block of L^T is a nonsingular M-matrix and the right
-    # side is nonnegative, so m > 0 with no rank decision.
-    lt = lap.matrix.T
-    m = np.ones(n)
+def _grounded(lt, k):
+    """``m`` with ``m_k = 1`` and ``m^T L = 0`` off column ``k``, ``lt = L^T``.
+    For a strongly connected graph the grounded block is a nonsingular
+    M-matrix and the right side is nonnegative, so ``m > 0``."""
+    rest = np.arange(lt.shape[0]) != k
+    m = np.ones(lt.shape[0])
     try:
-        m[1:] = np.linalg.solve(lt[1:, 1:], -lt[1:, 0])
+        m[rest] = np.linalg.solve(lt[np.ix_(rest, rest)], -lt[rest, k])
     except np.linalg.LinAlgError:
         raise NumericError(
             "grounded block of the transposed Laplacian is singular"
         ) from None
-    if not m.min() > 0.0:
-        raise NumericError(
-            "computed left null vector is not strictly positive; "
-            f"minimum component {m.min():.3e}"
-        )
-    m = n * m / m.sum()
-    balanced = DirectedLaplacian(m[:, None] * lap.matrix)
-    colsum = np.abs(balanced.matrix.sum(axis=0)).max()
-    if colsum > CONSTRUCTION_TOL * _scale(balanced.matrix):
-        raise NumericError(
-            f"balancing failed: residual column sum {colsum:.3e}"
-        )
-    return WeightBalancing(m=m, balanced=balanced)
+    return m
 
 
 def is_reachable_subset(lap: DirectedLaplacian, alpha) -> bool:

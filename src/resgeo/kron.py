@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericError, StructureError, ValidationError
-from .graph import DirectedLaplacian, SignedLaplacianQ, _reached
+from .graph import DirectedLaplacian, SignedLaplacianQ, _laplacian, _reached
 from .linalg import normalize_indices, schur_complement
 
 
@@ -89,7 +89,7 @@ def kron_reduce(lap: DirectedLaplacian, keep) -> KronResult:
     off = schur_complement(lap.matrix, kept)
     np.fill_diagonal(off, 0.0)
     off[off > 0.0] = 0.0
-    reduced = DirectedLaplacian(off - np.diag(off.sum(axis=1)))
+    reduced = DirectedLaplacian(_laplacian(-off))
     flags = PreservedFlags(
         row_sums_zero=True,
         offdiag_nonpos=True,

@@ -7,9 +7,12 @@ import numpy as np
 import pytest
 
 import resgeo
-from resgeo.cli import _emit, build_parser, main
+from resgeo.cli import _emit, build_parser, load_graph, main
+from resgeo.curvature import curvature_radius_sc
 from resgeo.embed import read_coordinates
 from resgeo.generators import random_class_q
+from resgeo.graph import weight_balance
+from test_curvature import spread_draw
 
 SHOWCASE_EDGES = """\
 # four-node showcase digraph
@@ -138,6 +141,67 @@ def test_balance_command(capsys, tmp_path):
     assert abs(report["outputs"]["sigma2_balanced"] - 3.0 / 16.0) < 1e-12
 
 
+def test_balance_command_on_spread_weights(capsys, tmp_path):
+    # m spreads over ten decades on this draw; the balanced graph passes
+    # the weight-balance check of every closed-form route it feeds.
+    lap = spread_draw(100, 2, 33)
+    src, dst = np.nonzero(lap.matrix < 0.0)
+    path = tmp_path / "spread.edges"
+    path.write_text("n 100\n" + "".join(
+        f"{i + 1} {j + 1} {-lap.matrix[i, j]:.17g}\n" for i, j in zip(src, dst)))
+    code, report = run_cli(capsys, "balance", str(path))
+    assert code == 0, report["error"]
+    assert np.array_equal(report["outputs"]["m"], weight_balance(lap).m)
+
+
+def test_curvature_of_an_unbalanced_graph_is_the_gated_solve(capsys, tmp_path):
+    path = tmp_path / "unbalanced.edges"
+    path.write_text("1 2 2\n2 3 1\n3 1 3\n1 3 0.5\n")
+    code, report = run_cli(capsys, "curvature", str(path))
+    assert code == 0
+    cr = curvature_radius_sc(load_graph(str(path)))
+    assert report["outputs"]["p"] == cr.p.tolist()
+    assert report["outputs"]["sigma2"] == cr.sigma2
+    assert report["outputs"]["zeta"] is None
+    assert report["residuals"] == {}
+
+
+def test_balance_refuses_a_signed_laplacian(capsys, signed_file):
+    code, report = run_cli(capsys, "balance", signed_file, "--as-laplacian")
+    assert code == 1
+    assert report["error"] == {
+        "type": "ValidationError",
+        "message": "balance applies to directed Laplacians"}
+
+
+@pytest.mark.parametrize("name, text, line, message", [
+    ("g.edges", "n 3\nn 3\n1 2 1\n", 2, "malformed node-count header"),
+    ("g.edges", "n 3 4\n1 2 1\n", 1, "malformed node-count header"),
+    ("g.edges", "n three\n1 2 1\n", 1, "bad node count 'three'"),
+    ("g.edges", "n 1\n1 1 1\n", None, "resistance geometry needs"),
+    ("g.edges", "1 2 1\n2 one 1\n", 2, "unparseable edge '2 one 1'"),
+    ("g.edges", "# two nodes\nn 2\n", None, "no edges found"),
+    ("g.edges", "1 2 inf\n2 1 1\n", None, "laplacian contains non-finite"),
+    ("g.csv", "0,1\n1,zero\n", 2, "unparseable row '1,zero'"),
+    ("g.csv", "0,1,1\n1,0,1\n", None, "matrix rows must form a square"),
+    ("g.csv", "0,1\n1\n", None, "matrix rows must form a square"),
+    ("g.csv", "# comments only\n\n", None, "empty input"),
+    ("g.csv", "1,1\n1,0\n", None, "adjacency diagonal must be zero"),
+    ("g.csv", "0,nan\n1,0\n", None, "laplacian contains non-finite"),
+], ids=["duplicate_header", "long_header", "bad_count", "one_node",
+        "bad_edge", "header_only", "inf_weight", "bad_row", "not_square",
+        "ragged", "comments_only", "adjacency_diagonal", "nan_entry"])
+def test_input_errors_name_the_file_and_line(capsys, tmp_path, name, text,
+                                             line, message):
+    path = tmp_path / name
+    path.write_text(text)
+    code, report = run_cli(capsys, "check", str(path))
+    assert (code, report["status"]) == (1, "fail")
+    assert report["error"]["type"] == "ValidationError"
+    where = str(path) if line is None else f"{path}:{line}"
+    assert report["error"]["message"].startswith(f"{where}: {message}")
+
+
 def test_signed_laplacian_input(capsys, signed_file):
     code, report = run_cli(capsys, "check", signed_file, "--as-laplacian")
     assert code == 0
@@ -249,6 +313,14 @@ def test_bad_keep_rejected(capsys, edge_file):
     assert code == 1
     code, report = run_cli(capsys, "kron", edge_file, "--keep", "1,9")
     assert code == 1
+
+
+def test_keep_must_be_integers(capsys, edge_file):
+    code, report = run_cli(capsys, "kron", edge_file, "--keep", "1,two")
+    assert (code, report["status"]) == (1, "fail")
+    assert report["error"] == {
+        "type": "ValidationError",
+        "message": "--keep must be a comma-separated list: '1,two'"}
 
 
 RERUN_CASES = (

@@ -13,6 +13,7 @@ from resgeo.curvature import (
     verify_fiedler_bapat,
     wb_transform,
 )
+from resgeo import graph
 from resgeo.errors import NumericError, StructureError, ValidationError
 from resgeo.generators import random_class_q, random_scwb_laplacian
 from resgeo.graph import (
@@ -21,6 +22,7 @@ from resgeo.graph import (
     _shared_kernel,
     weight_balance,
 )
+from resgeo.linalg import CONSTRUCTION_TOL
 from resgeo.resistance import (
     resistance_matrix_q,
     resistance_matrix_sc,
@@ -307,6 +309,109 @@ def test_balancing_matches_gth_on_spread_weights(n, seed):
                              weights=_log_uniform_weights)
     m = weight_balance(lap).m
     assert np.abs(m / _gth_balancing(lap) - 1.0).max() <= 1e-9
+
+
+def spread_draw(n, d, s):
+    """Draw ``s`` of the spread population: a Hamiltonian cycle plus ``n``
+    random edges on ``n`` nodes, with weights ``10^U(-d, d)``.  The
+    population is n in {12, 40, 100}, d in {2, 2.5, 3} and s = 0..39."""
+    def weights(rng, size):
+        return 10.0 ** rng.uniform(-d, d, size=size)
+    return unbalanced_digraph(n, np.random.default_rng([n, s, int(10 * d)]), n,
+                              weights=weights)
+
+
+def relabeled(lap, s):
+    """``lap`` with its nodes permuted by ``default_rng([s, 99])``, and the
+    permutation: node ``k`` of the result is node ``perm[k]`` of ``lap``."""
+    perm = np.random.default_rng([s, 99]).permutation(lap.n)
+    return DirectedLaplacian(lap.matrix[np.ix_(perm, perm)]), perm
+
+
+@pytest.mark.parametrize("n, d, s", [(12, 2.5, 39), (40, 2.5, 7), (100, 2, 32),
+                                     (100, 2, 33), (100, 3, 2), (100, 3, 34)])
+def test_balancing_of_spread_weights_is_flagged_balanced(n, d, s):
+    # m spreads over 8 to 10 decades on these draws.  Grounded at node 0,
+    # whose column is among the lightest, the balanced graph's column 0
+    # collected the solve's residuals and failed its own weight_balanced
+    # flag, so every closed-form route refused the returned graph.
+    lap = spread_draw(n, d, s)
+    wb = weight_balance(lap)
+    assert wb.balanced.weight_balanced
+    assert np.abs(wb.m / _gth_balancing(lap) - 1.0).max() <= 1e-9
+    cr = curvature_radius_scwb(wb.balanced)
+    assert cr.sigma2 > 0.0
+
+
+@pytest.mark.parametrize("n, d, s", [(12, 2.5, 39), (12, 3, 33), (40, 2.5, 7),
+                                     (40, 2.5, 10)])
+def test_balancing_does_not_depend_on_node_labels(n, d, s):
+    # Grounded at node 0, m of the relabeled graph differed from the
+    # relabeled m by up to 1.7e-3 relative on these draws.
+    lap = spread_draw(n, d, s)
+    other, perm = relabeled(lap, s)
+    m = weight_balance(lap).m
+    assert np.abs(weight_balance(other).m / m[perm] - 1.0).max() <= 1e-10
+
+
+def test_balancing_check_refuses_an_error_on_a_light_column(monkeypatch):
+    # Column 0 of this draw's balanced graph has a diagonal entry 8e-9 times
+    # the largest entry.  An error of 1e-6 relative in m_0 leaves every
+    # column sum below CONSTRUCTION_TOL times the largest entry, which the
+    # check accepted when it compared them with that, and the result
+    # failed its weight_balanced flag; each column compared with its own
+    # diagonal entry refuses it.
+    lap = spread_draw(100, 2, 33)
+    m = weight_balance(lap).m.copy()
+    light = int(np.argmin(m * np.diag(lap.matrix)))
+    m[light] *= 1.0 + 1e-6
+    planted = m[:, None] * lap.matrix
+    assert (np.abs(planted.sum(axis=0)).max()
+            <= CONSTRUCTION_TOL * np.abs(planted).max())
+    assert not DirectedLaplacian(planted).weight_balanced
+    solve = graph._grounded
+
+    def perturbed(lt, k):
+        x = solve(lt, k)
+        x[light] *= 1.0 + 1e-6
+        return x
+
+    monkeypatch.setattr(graph, "_grounded", perturbed)
+    with pytest.raises(NumericError, match=f"column {light} "):
+        weight_balance(DirectedLaplacian(lap.matrix))
+
+
+@pytest.mark.large
+def test_balancing_census_of_the_spread_population():
+    # Every draw in both labelings: none refused, every balanced graph
+    # flagged balanced, m within 1e-9 of GTH, and the labelings agree.
+    counts = {"draws": 0, "refused": 0, "flagged_unbalanced": 0,
+              "off_gth": 0, "label_dependent": 0}
+    worst_gth = worst_label = 0.0
+    for n in (12, 40, 100):
+        for d in (2, 2.5, 3):
+            for s in range(40):
+                lap = spread_draw(n, d, s)
+                other, perm = relabeled(lap, s)
+                counts["draws"] += 1
+                try:
+                    wb, wb_other = weight_balance(lap), weight_balance(other)
+                except NumericError:
+                    counts["refused"] += 1
+                    continue
+                counts["flagged_unbalanced"] += not (
+                    wb.balanced.weight_balanced
+                    and wb_other.balanced.weight_balanced)
+                gth = max(np.abs(wb.m / _gth_balancing(lap) - 1.0).max(),
+                          np.abs(wb_other.m / _gth_balancing(other) - 1.0).max())
+                label = np.abs(wb_other.m / wb.m[perm] - 1.0).max()
+                counts["off_gth"] += int(gth > 1e-9)
+                counts["label_dependent"] += int(label > 1e-10)
+                worst_gth, worst_label = max(worst_gth, gth), max(worst_label, label)
+    print(f"balancing census: {counts}, largest gap to GTH {worst_gth:.1e}, "
+          f"largest relabeling gap {worst_label:.1e}")
+    assert counts == {"draws": 360, "refused": 0, "flagged_unbalanced": 0,
+                      "off_gth": 0, "label_dependent": 0}
 
 
 @pytest.mark.parametrize("matrix", [

@@ -18,6 +18,7 @@ The sign convention of ``sym_eig`` is checked bit for bit against a
 per-column reference loop kept here.
 """
 
+import json
 from collections import Counter
 
 import numpy as np
@@ -97,10 +98,30 @@ def test_cli_loads_a_signed_csv_with_one_eigh(kernels, q30_csv):
 def test_cli_check_reads_the_spectrum_of_a_signed_csv_off_its_eigh(
         kernels, q30_csv, capsys):
     # One eigh to load Q and one for the class report; the symmetric
-    # spectrum is the loaded object's eigenvalues, not a third eigh.
+    # spectrum is the class report's eigenvalues, not a third eigh.
     assert main(["check", q30_csv, "--as-laplacian"]) == 0
     capsys.readouterr()
     assert (kernels["svd"], kernels["eigh"]) == (0, 2)
+
+
+def test_cli_check_of_an_undirected_graph_takes_one_eigh(
+        kernels, tmp_path, capsys):
+    # The class check passes on a symmetric Laplacian, and its eigh is the
+    # symmetric spectrum.
+    adjacency = -SCWB20.copy()
+    adjacency = adjacency + adjacency.T
+    np.fill_diagonal(adjacency, 0.0)
+    path = tmp_path / "undirected.csv"
+    path.write_text("\n".join(",".join(format(v, ".17g") for v in row)
+                              for row in adjacency) + "\n")
+    assert main(["check", str(path)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["outputs"]["class_q"]["ok"]
+    assert kernels["eigh"] == 1
+    lap = np.diag(adjacency.sum(axis=1)) - adjacency
+    gap = np.abs(report["outputs"]["symmetric_spectrum"]
+                 - np.linalg.eigvalsh(lap)[::-1]).max()
+    assert gap <= 1e-12 * np.abs(lap).max()
 
 
 def test_validated_and_constructed_q_agree_bit_for_bit():
@@ -201,16 +222,17 @@ def test_unbalanced_object_balances_and_inverts_once(kernels):
     weight_balance(lap)
     resistance_matrix_sc(lap)
     curvature_radius_sc(lap)
-    # One grounded solve for the balancing and one SVD of the balanced L
+    # Two grounded solves for the balancing and one SVD of the balanced L
     # for L_s^+, both kept and read by the later calls.  The gated Omega
     # solve of the curvature is one cond and one solve.
     assert (kernels["svd"], kernels["eigh"]) == (1, 0)
-    assert (kernels["cond"], kernels["solve"]) == (1, 2)
+    assert (kernels["cond"], kernels["solve"]) == (1, 3)
 
 
-def test_balancing_is_one_solve(kernels):
+def test_balancing_is_two_solves(kernels):
+    # One grounded at node 0, one at the heaviest node of the first.
     weight_balance(DirectedLaplacian(SC20))
-    assert kernels == Counter(solve=1)
+    assert kernels == Counter(solve=2)
 
 
 def test_balanced_object_factors_once(kernels):

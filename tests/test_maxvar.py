@@ -7,8 +7,8 @@ from resgeo.generators import (
     random_class_q,
     random_sc_laplacian,
     random_scwb_laplacian,
-    random_unsigned_laplacian,
 )
+from resgeo.graph import SignedLaplacianQ
 from resgeo.maxvar import (
     characterize,
     solve_maxvar,
@@ -88,12 +88,22 @@ def test_exact_capacity_cap():
         solve_maxvar_exact(np.ones((16, 16)) - np.eye(16))
 
 
+def _random_tree(n, rng):
+    """A random weighted tree: each node in a random order joins one before
+    it, with a weight drawn from [0.5, 2]."""
+    adjacency = np.zeros((n, n))
+    order = rng.permutation(n)
+    for i in range(1, n):
+        a, b = order[i], order[int(rng.integers(0, i))]
+        adjacency[a, b] = adjacency[b, a] = rng.uniform(0.5, 2.0)
+    return SignedLaplacianQ(np.diag(adjacency.sum(axis=1)) - adjacency)
+
+
 def test_solvers_agree_on_random_instances():
     rng = np.random.default_rng(40)
     draws = [random_class_q(7, rng, ensure_signed=True) for _ in range(20)]
     # Trees: the optimum drops every interior node, often several at once.
-    draws += [random_unsigned_laplacian(n, rng, extra_edges=0)
-              for n in range(3, 10) for _ in range(5)]
+    draws += [_random_tree(n, rng) for n in range(3, 10) for _ in range(5)]
     for q in draws:
         omega = resistance_matrix_q(q)
         exact = solve_maxvar_exact(omega)

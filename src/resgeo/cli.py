@@ -53,14 +53,14 @@ from .graph import (
     weight_balance,
 )
 from .kron import kron_reduce, kron_reduce_q
-from .linalg import inertia, pseudoinverse, sym_eig
+from .linalg import inertia, sym_eig
 from .maxvar import characterize, solve_maxvar
 from .resistance import (
     classify_metric,
     resistance_matrix_q,
     resistance_matrix_sc,
 )
-from .verify import _pinv_via_shift, run_verification
+from .verify import run_verification
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -252,11 +252,6 @@ def _cmd_check(g, args):
         "symmetric_spectrum": spectrum,
     }
     residuals = {"row_sum_max": float(np.abs(matrix.sum(axis=1)).max())}
-    if directed and g.strongly_connected and g.weight_balanced:
-        shift = _pinv_via_shift(g)
-        residuals["shifted_pinv"] = float(
-            np.abs(shift - pseudoinverse(matrix)).max()
-        )
     return outputs, residuals
 
 

@@ -22,6 +22,7 @@ covers every node.
 A :class:`DirectedLaplacian` is immutable, so the factorizations every
 directed quantity derives from are computed at most once per object and
 kept on it: the balancing that :func:`weight_balance` returns, the
+resistance matrix of :func:`~resgeo.resistance.resistance_matrix_sc`, the
 symmetrized pseudoinverse ``L_s^+`` behind :func:`sym_pinv`, and
 ``K = (L_s^+)^+``, read by the curvature identity and ``undirect``.  The
 kept arrays are read-only; :func:`sym_pinv` hands out a writable copy.
@@ -92,11 +93,13 @@ class DirectedLaplacian:
     a light column is judged by its own weights and not by the heaviest
     one.
 
-    Three factorizations are filled in on first use and then shared by
-    every function that derives from them: the :class:`WeightBalancing`
-    of :func:`weight_balance`, ``L_s^+`` of :func:`sym_pinv` and its
-    pseudoinverse ``(L_s^+)^+``.  They sit in private slots, their arrays
-    are read-only, and a failed computation is not kept.
+    Four results are filled in on first use and then shared by every
+    function that derives from them: the :class:`WeightBalancing` of
+    :func:`weight_balance`, the resistance matrix of
+    :func:`~resgeo.resistance.resistance_matrix_sc`, ``L_s^+`` of
+    :func:`sym_pinv` and its pseudoinverse ``(L_s^+)^+``.  They sit in
+    private slots, their arrays are read-only, and a failed computation is
+    not kept.
 
     Raises
     ------
@@ -107,7 +110,7 @@ class DirectedLaplacian:
     """
 
     __slots__ = ("matrix", "n", "strongly_connected", "weight_balanced",
-                 "_balancing", "_sym_pinv", "_kernel")
+                 "_balancing", "_resistance", "_sym_pinv", "_kernel")
 
     def __init__(self, matrix):
         m = as_square(matrix, "laplacian").copy()
@@ -136,7 +139,7 @@ class DirectedLaplacian:
         self.weight_balanced = bool(np.all(
             np.abs(m.sum(axis=0)) <= STRUCTURAL_TOL * np.abs(m).sum(axis=0)
         ))
-        self._balancing = self._sym_pinv = self._kernel = None
+        self._balancing = self._resistance = self._sym_pinv = self._kernel = None
 
     def __repr__(self):
         flags = []

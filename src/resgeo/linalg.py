@@ -23,7 +23,8 @@ that the rest of the package relies on:
   blocks with condition number above ``1e12`` instead of silently
   amplifying noise.  The number depends on the block.  A Z-matrix block
   whose solves certify it as a nonsingular M-matrix (every Kron
-  elimination of a directed Laplacian) is gated on
+  elimination of a directed Laplacian, and the grounded block whose
+  inverse gives every directed resistance matrix) is gated on
   ``sqrt(kappa_1 kappa_inf)``, read off the ones-solutions that ride along
   with the solve; this bounds ``kappa_2`` from above, so it never admits
   a block that ``kappa_2`` refuses.  Any other block (``Q``, ``K``,

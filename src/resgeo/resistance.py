@@ -4,12 +4,23 @@ For a strongly connected directed graph the resistance between two nodes
 is read off the 2x2 Kron reduction onto the pair: ``R(a -> b)`` is the
 reciprocal of the reduced diagonal entry at ``a``.  This generalizes the
 classical two-point resistance and stays positive, but symmetry is lost
-unless the graph is weight-balanced.  In the balanced case the full matrix
-has the closed form ``Omega = zeta 1^T + 1 zeta^T - 2 L_s^+`` with
-``zeta = diag(L_s^+)``, where ``L_s^+`` is the symmetrized pseudoinverse;
-an arbitrary strongly connected graph scales the balanced matrix row-wise
-by the balancing vector.  Signed Laplacians get the same closed form with
-``Q^+`` in place of ``L_s^+``.
+unless the graph is weight-balanced.  That entry is a Schur complement, so
+``R(a -> b) = (L_{-b}^{-1})_aa`` for ``L`` grounded at ``b``, and one
+grounded inverse gives every pair: with ``G`` the inverse of ``L``
+grounded at any node ``k``, padded with a zero row and column, and ``m``
+the balancing vector (``m^T L = 0``),
+
+    R(a -> b) = G_aa - G_ba + (m_a / m_b) (G_bb - G_ab),
+
+the group-inverse identity of Markov-chain theory (Meyer, "The role of
+the group generalized inverse in the theory of finite Markov chains",
+SIAM Review 17, 1975).  Balanced and unbalanced graphs take this one
+route, grounded at ``argmax m_i L_ii``, the heaviest node of the balanced
+Laplacian, with ``m = 1`` on a balanced graph, where the result is
+exactly symmetric.  A balanced graph's matrix also has the closed form
+``Omega = zeta 1^T + 1 zeta^T - 2 L_s^+`` with ``zeta = diag(L_s^+)``,
+where ``L_s^+`` is the symmetrized pseudoinverse; signed Laplacians take
+that closed form with ``Q^+`` in place of ``L_s^+``.
 
 ``classify_metric`` places a nonnegative symmetric matrix with zero
 diagonal in the negative-type hierarchy through the spectrum of the
@@ -34,7 +45,6 @@ from .graph import (
     DirectedLaplacian,
     SignedLaplacianQ,
     _require,
-    _shared_sym_pinv,
     weight_balance,
 )
 from .kron import kron_reduce
@@ -46,6 +56,7 @@ from .linalg import (
     _scale,
     _signature,
     as_square,
+    solve_conditioned,
     sym_eig,
 )
 
@@ -143,25 +154,35 @@ def resistance_matrix_scwb(lap: DirectedLaplacian) -> ResistanceMatrix:
     """Resistance matrix of a strongly connected weight-balanced graph."""
     _require(lap, "resistance_matrix_scwb", balanced=True,
              hint="; use resistance_matrix_sc")
-    return ResistanceMatrix(_omega_from_kernel(_shared_sym_pinv(lap)),
-                            kind="scwb")
+    return resistance_matrix_sc(lap)
 
 
 def resistance_matrix_sc(lap: DirectedLaplacian) -> ResistanceMatrix:
     """Resistance matrix of an arbitrary strongly connected graph.
 
-    Balances the graph first; the directed matrix is the row-wise scaling
-    ``diag(m) @ Omega_balanced`` by the balancing vector ``m``.  For an
-    already balanced graph this coincides with the symmetric route and the
-    symmetric kind is returned.  The balancing and ``L_s^+`` of the balanced
-    graph are the ones kept on ``lap``; neither is recomputed.
+    ``R(a -> b) = G_aa - G_ba + (m_a / m_b) (G_bb - G_ab)`` (Meyer 1975)
+    for the inverse ``G`` of ``L`` grounded at one node, with ``m`` the
+    balancing vector kept on ``lap`` (``1`` on a balanced graph).  The
+    grounding node is ``argmax m_i L_ii``, the heaviest node of the
+    balanced Laplacian, so ties aside the choice does not depend on how
+    the nodes are labeled.  The grounded block is a nonsingular M-matrix, inverted
+    behind the gate of :func:`~resgeo.linalg.solve_conditioned`; past
+    ``COND_LIMIT`` it raises :class:`~resgeo.errors.NumericError`.  A
+    balanced graph gets the exactly symmetric ``scwb`` kind.  The result
+    is computed once per ``lap`` and kept on it.
     """
-    _require(lap, "resistance_matrix_sc")
-    if lap.weight_balanced:
-        return resistance_matrix_scwb(lap)
-    balancing = weight_balance(lap)
-    omega_wb = _omega_from_kernel(_shared_sym_pinv(balancing.balanced))
-    return ResistanceMatrix(balancing.m[:, None] * omega_wb, kind="directed_sc")
+    if lap._resistance is None:
+        _require(lap, "resistance_matrix_sc")
+        n, balanced = lap.n, lap.weight_balanced
+        m = np.ones(n) if balanced else weight_balance(lap).m
+        rest = np.arange(n) != np.argmax(m * np.diag(lap.matrix))
+        g = np.zeros((n, n))  # the grounded inverse, padded with zeros
+        g[np.ix_(rest, rest)] = solve_conditioned(
+            lap.matrix[np.ix_(rest, rest)], np.eye(n - 1), "grounded Laplacian block")
+        # An exact 0 diagonal; with m = 1, (a, b) and (b, a) add equal terms.
+        omega = np.diag(g)[:, None] - g.T + (m[:, None] / m) * (np.diag(g) - g)
+        lap._resistance = ResistanceMatrix(omega, "scwb" if balanced else "directed_sc")
+    return lap._resistance
 
 
 def resistance_matrix_q(q: SignedLaplacianQ) -> ResistanceMatrix:

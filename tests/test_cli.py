@@ -12,6 +12,7 @@ from resgeo.curvature import curvature_radius_sc
 from resgeo.embed import read_coordinates
 from resgeo.generators import random_class_q
 from resgeo.graph import weight_balance
+from resgeo.verify import _gth_censor
 from test_curvature import spread_draw
 
 SHOWCASE_EDGES = """\
@@ -60,7 +61,8 @@ def test_check_reports_structure(capsys, edge_file):
     assert report["status"] == "ok"
     assert report["outputs"]["strongly_connected"] is True
     assert report["outputs"]["weight_balanced"] is True
-    assert report["residuals"]["shifted_pinv"] < 1e-10
+    # The SVD cross-check of L^+ is the verify suite's, not this report's.
+    assert report["residuals"] == {"row_sum_max": 0}
 
 
 def test_check_on_unbalanced_and_disconnected_graphs(capsys, tmp_path):
@@ -152,6 +154,21 @@ def test_balance_command_on_spread_weights(capsys, tmp_path):
     code, report = run_cli(capsys, "balance", str(path))
     assert code == 0, report["error"]
     assert np.array_equal(report["outputs"]["m"], weight_balance(lap).m)
+
+
+def test_resistance_command_on_spread_weights(capsys, tmp_path):
+    # The former route, the SVD L_s^+ of the balanced graph scaled
+    # row-wise by m, reported Omega[40 -> 28] = 4.99e9 with status ok.
+    lap = spread_draw(40, 3, 28)
+    src, dst = np.nonzero(lap.matrix < 0.0)
+    path = tmp_path / "spread.edges"
+    path.write_text("n 40\n" + "".join(
+        f"{i + 1} {j + 1} {float(-lap.matrix[i, j])!r}\n"
+        for i, j in zip(src, dst)))
+    code, report = run_cli(capsys, "resistance", str(path))
+    assert code == 0, report["error"]
+    gth = 1.0 / _gth_censor(lap, [39, 27])[0, 1]  # about 1.90872e17
+    assert abs(report["outputs"]["omega"][39][27] / gth - 1.0) <= 1e-12
 
 
 def test_curvature_of_an_unbalanced_graph_is_the_gated_solve(capsys, tmp_path):
@@ -423,7 +440,7 @@ MAXVAR_GOLDEN_TEXT = """\
     "method": "iterative"
   },
   "residuals": {
-    "kkt": 2.2204460492503131e-16,
+    "kkt": 0,
     "support_curvature": 0,
     "radius_value": 0
   }

@@ -3,10 +3,10 @@
 A ``SignedLaplacianQ`` keeps the eigendecomposition its validation takes
 and ``Q^+`` formed from it; everything derived from ``Q`` reads those
 instead of factoring ``Q`` again.  A ``DirectedLaplacian`` fills in its
-balancing, ``L_s^+`` and ``(L_s^+)^+`` on first use and keeps them the
-same way.  The counts below are the calls of
-``numpy.linalg.svd``, ``eigh``, ``cond`` and ``solve`` made by one library
-call.  The condition gate of ``solve_conditioned`` and ``schur_complement``
+balancing, resistance matrix, ``L_s^+`` and ``(L_s^+)^+`` on first use and
+keeps them the same way; its resistance matrix takes no SVD.  The counts
+below are the calls of ``numpy.linalg.svd``, ``eigh``, ``cond`` and
+``solve`` made by one library call.  The condition gate of ``solve_conditioned`` and ``schur_complement``
 takes one of two routes.  A block with a positive off-diagonal entry (a
 resistance matrix, most ``K`` blocks) is one ``cond`` (whose own SVD is
 counted as a ``cond``, not as an ``svd``) and one ``solve``.  The
@@ -222,11 +222,52 @@ def test_unbalanced_object_balances_and_inverts_once(kernels):
     weight_balance(lap)
     resistance_matrix_sc(lap)
     curvature_radius_sc(lap)
-    # Two grounded solves for the balancing and one SVD of the balanced L
-    # for L_s^+, both kept and read by the later calls.  The gated Omega
-    # solve of the curvature is one cond and one solve.
-    assert (kernels["svd"], kernels["eigh"]) == (1, 0)
-    assert (kernels["cond"], kernels["solve"]) == (1, 3)
+    # Two grounded solves for the balancing and the gate's two solves for
+    # the grounded inverse behind Omega, both kept and read by the later
+    # calls.  The gated Omega solve of the curvature is one cond and one
+    # solve.
+    assert (kernels["svd"], kernels["eigh"]) == (0, 0)
+    assert (kernels["cond"], kernels["solve"]) == (1, 5)
+
+
+def test_balanced_resistance_takes_no_svd(kernels):
+    # The grounded inverse behind every directed Omega is an M-matrix
+    # solve, gated by its ones-solutions; L_s^+ is not formed.
+    resistance_matrix_scwb(DirectedLaplacian(SCWB20))
+    assert (kernels["svd"], kernels["eigh"]) == (0, 0)
+    assert (kernels["cond"], kernels["solve"]) == (0, 2)
+
+
+@pytest.mark.parametrize("matrix", [SC20, SCWB20], ids=["sc", "scwb"])
+def test_resistance_matrix_is_kept(matrix):
+    lap = DirectedLaplacian(matrix)
+    rm = resistance_matrix_sc(lap)
+    assert resistance_matrix_sc(lap) is rm
+    assert not rm.omega.flags.writeable
+
+
+def _edge_list(tmp_path, matrix):
+    path = tmp_path / "graph.edges"
+    n = matrix.shape[0]
+    path.write_text(f"n {n}\n" + "".join(
+        f"{i + 1} {j + 1} {float(-matrix[i, j])!r}\n"
+        for i in range(n) for j in range(n) if i != j and matrix[i, j]))
+    return str(path)
+
+
+@pytest.mark.parametrize("command, matrix", [
+    ("resistance", SC20), ("resistance", SCWB20), ("kron", SC20),
+    ("kron", SCWB20), ("maxvar", SCWB20),
+], ids=["resistance_sc", "resistance_scwb", "kron_sc", "kron_scwb",
+        "maxvar_scwb"])
+def test_cli_resistance_routes_take_no_svd(kernels, tmp_path, capsys,
+                                           command, matrix):
+    argv = [command, _edge_list(tmp_path, matrix)]
+    if command == "kron":
+        argv += ["--keep", "1,3,5,7"]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert kernels["svd"] == 0
 
 
 def test_balancing_is_two_solves(kernels):

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from resgeo.curvature import curvature_radius_sc
 from resgeo.errors import (
     MetricClassificationError,
+    NumericError,
     StructureError,
     ValidationError,
 )
@@ -11,7 +13,12 @@ from resgeo.generators import (
     random_sc_laplacian,
     random_unsigned_laplacian,
 )
-from resgeo.graph import DirectedLaplacian, SignedLaplacianQ, laplacian_from_edges
+from resgeo.graph import (
+    DirectedLaplacian,
+    SignedLaplacianQ,
+    laplacian_from_edges,
+    weight_balance,
+)
 from resgeo.resistance import (
     ResistanceMatrix,
     classify_metric,
@@ -21,6 +28,8 @@ from resgeo.resistance import (
     resistance_matrix_sc,
     resistance_matrix_scwb,
 )
+from resgeo.verify import _gth_censor
+from test_curvature import relabeled, spread_draw
 
 TWO_NODE = DirectedLaplacian(np.array([[2.0, -2.0], [-1.0, 1.0]]))
 
@@ -85,6 +94,85 @@ def test_sc_matrix_matches_pairwise_definition():
 def test_scwb_requires_balance():
     with pytest.raises(StructureError):
         resistance_matrix_scwb(TWO_NODE)
+
+
+def _gth_resistance(lap, a, b):
+    """``R(a -> b)`` as the reciprocal of the weight ``a -> b`` after GTH
+    censoring onto ``{a, b}``, which subtracts nothing."""
+    return 1.0 / _gth_censor(lap, [a, b])[0, 1]
+
+
+@pytest.mark.parametrize("draw, a, b", [
+    ((40, 3, 21), 15, 18), ((100, 3, 14), 10, 28), ((100, 3, 17), 67, 99),
+    ((100, 3, 38), 29, 89),
+])
+def test_sc_matrix_matches_gth_on_spread_weights(draw, a, b):
+    # Each pair is its draw's worst entry for the former route, the SVD
+    # L_s^+ of the balanced graph scaled row-wise by m, which was off by
+    # 0.72 to 1.0 relative there (2.7e-7 for 0.61 on the first pair).
+    lap = spread_draw(*draw)
+    omega = resistance_matrix_sc(lap).omega
+    assert abs(omega[a, b] / _gth_resistance(lap, a, b) - 1.0) <= 1e-9
+
+
+def test_scwb_matrix_matches_gth_on_a_spread_balanced_image():
+    # m spreads over decades on this draw; the SVD L_s^+ of its balanced
+    # image gave Omega[7, 11] off by 2.0e-6 relative.
+    balanced = weight_balance(spread_draw(12, 3, 33)).balanced
+    omega = resistance_matrix_scwb(balanced).omega
+    for a in range(12):
+        for b in range(12):
+            if a != b:
+                gth = _gth_resistance(balanced, a, b)
+                assert abs(omega[a, b] / gth - 1.0) <= 1e-9, (a, b)
+
+
+def _census_pairs(n, d, s):
+    """Every ordered pair at n = 12, else 40 pairs fixed by the draw."""
+    if n == 12:
+        return [(a, b) for a in range(n) for b in range(n) if a != b]
+    rng = np.random.default_rng([n, s, int(10 * d), 7])
+    a = rng.integers(0, n, size=40)
+    return list(zip(a, (a + rng.integers(1, n, size=40)) % n))
+
+
+@pytest.mark.large
+def test_resistance_census_of_the_spread_population():
+    # Every draw and its balanced image, in both labelings, against GTH on
+    # the pairs of _census_pairs: right within 1e-9 relative on every
+    # pair, refused by the gate, or wrong.
+    counts = {kind: {"right": 0, "refused": 0, "wrong": 0}
+              for kind in ("directed", "balanced")}
+    worst = dict.fromkeys(counts, 0.0)
+    curvature_refused = 0
+    for n in (12, 40, 100):
+        for d in (2, 2.5, 3):
+            for s in range(40):
+                lap = spread_draw(n, d, s)
+                balanced = weight_balance(lap).balanced
+                graphs = {"directed": (lap, relabeled(lap, s)[0]),
+                          "balanced": (balanced, relabeled(balanced, s)[0])}
+                pairs = _census_pairs(n, d, s)
+                for kind, labelings in graphs.items():
+                    for g in labelings:
+                        try:
+                            omega = resistance_matrix_sc(g).omega
+                        except NumericError:
+                            counts[kind]["refused"] += 1
+                            continue
+                        err = max(abs(omega[a, b] / _gth_resistance(g, a, b)
+                                      - 1.0) for a, b in pairs)
+                        counts[kind]["right" if err <= 1e-9 else "wrong"] += 1
+                        worst[kind] = max(worst[kind], err)
+                try:
+                    curvature_radius_sc(lap)
+                except NumericError:
+                    curvature_refused += 1
+    print(f"resistance census: {counts}, largest errors "
+          f"{worst['directed']:.1e} (directed), {worst['balanced']:.1e} "
+          f"(balanced), curvature_radius_sc refused {curvature_refused} "
+          "of 360 draws")
+    assert counts["directed"]["wrong"] == counts["balanced"]["wrong"] == 0
 
 
 def test_k3_resistances():

@@ -238,8 +238,9 @@ def _cmd_check(g, args):
     directed = isinstance(g, DirectedLaplacian)
     matrix = g.matrix
     # The class check factors (M + M^T) / 2 with its diagonal rebuilt from
-    # the row sums, which is M itself for a symmetric Laplacian M.
-    failure, details, checked = _classify_q(matrix)
+    # the row sums, which is M itself for a symmetric Laplacian M; a loaded
+    # SignedLaplacianQ hands it the eigendecomposition it already holds.
+    failure, details, checked = _classify_q(matrix, None if directed else g.eig)
     spectrum = (checked[1] if checked else
                 sym_eig((matrix + matrix.T) / 2.0)).values
     outputs = {

@@ -46,11 +46,13 @@ def random_scwb_laplacian(n, rng):
         for src, dst in _cycle_edges(list(order)):
             if src != dst:
                 adjacency[src, dst] += weight
-    return DirectedLaplacian(_laplacian(adjacency))
+    return DirectedLaplacian._of(adjacency, True)
 
 
 def random_sc_laplacian(n, rng):
-    """Random strongly connected directed Laplacian, generally unbalanced."""
+    """Random strongly connected directed Laplacian, generally unbalanced:
+    one weighted Hamiltonian cycle (giving strong connectivity) plus extra
+    random edges."""
     _require_two_nodes(n)
     extra_edges = int(rng.integers(1, 2 * n))
     adjacency = np.zeros((n, n))
@@ -60,7 +62,7 @@ def random_sc_laplacian(n, rng):
         src, dst = rng.integers(0, n, size=2)
         if src != dst:
             adjacency[src, dst] += float(rng.uniform(0.5, 2.0))
-    return DirectedLaplacian(_laplacian(adjacency))
+    return DirectedLaplacian._of(adjacency, True)
 
 
 def random_unsigned_laplacian(n, rng):

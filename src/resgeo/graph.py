@@ -4,9 +4,18 @@ Two matrix classes anchor the package.  :class:`DirectedLaplacian` holds the
 Laplacian of a weighted directed graph: nonpositive off-diagonal entries
 (``L[i, j] = -w(i -> j)``) and zero row sums, with the diagonal always
 recomputed from the off-diagonal part so the zero-row-sum property is
-enforced rather than trusted.  :class:`SignedLaplacianQ` holds a symmetric
-Laplacian that is positive semidefinite with kernel exactly ``span(1)`` and
-strictly positive diagonal; off-diagonal entries of either sign are allowed.
+enforced rather than trusted.  Outside input (the public constructor and
+:func:`laplacian_from_edges`) is checked in full and its strong
+connectivity computed.  The library's own builders form their weights
+already valid and hand over the strong connectivity they guarantee:
+:func:`weight_balance` scales the rows of a strongly connected graph by
+``m > 0``, which keeps every edge; :func:`~resgeo.kron.kron_reduce` of a
+strongly connected graph is again strongly connected; and the random
+generators each lay down a Hamiltonian cycle.
+
+:class:`SignedLaplacianQ` holds a symmetric Laplacian that is positive
+semidefinite with kernel exactly ``span(1)`` and strictly positive
+diagonal; off-diagonal entries of either sign are allowed.
 Matrices of this class arise as pseudoinverses of symmetrized pseudoinverse
 Laplacians of strongly connected weight-balanced graphs, and they are the
 natural domain for resistance geometry on signed graphs.
@@ -86,12 +95,15 @@ class DirectedLaplacian:
 
     The stored matrix is read-only; its diagonal equals minus the row sum
     of the off-diagonal part by construction.  Strong connectivity and
-    weight balance are computed once at construction and cached: the
-    graph is strongly connected when the forward and the backward closure
-    of node 0 both cover every node, and weight balanced when each column
-    sum is at most ``STRUCTURAL_TOL`` times that column's absolute sum, so
-    a light column is judged by its own weights and not by the heaviest
-    one.
+    weight balance are set once at construction and cached.  The graph is
+    strongly connected when the forward and the backward closure of node 0
+    both cover every node; the constructor computes this, while the
+    library's own builders (balancing, Kron reduction of a strongly
+    connected graph, the random generators) pass the ``True`` they
+    guarantee and skip both closures.  The graph is weight balanced when
+    each column sum is at most ``STRUCTURAL_TOL`` times that column's
+    absolute sum, so a light column is judged by its own weights and not by
+    the heaviest one; this is read off the columns on every graph.
 
     Four results are filled in on first use and then shared by every
     function that derives from them: the :class:`WeightBalancing` of
@@ -129,17 +141,37 @@ class DirectedLaplacian:
             raise ValidationError(
                 f"row sums deviate from zero by {rowsum:.3e}"
             )
-        m = _laplacian(-m)
+        self._build(-m)
+
+    @classmethod
+    def _of(cls, weights, strongly_connected):
+        """The graph of a weight matrix the library formed itself, built by
+        :meth:`_build` without the constructor's checks."""
+        return cls.__new__(cls)._build(weights, strongly_connected)
+
+    def _build(self, weights, strongly_connected=None):
+        """Fill every slot from ``weights``, a weight matrix with a zero
+        diagonal and nonnegative entries, and return ``self``.
+
+        ``_laplacian`` forms the matrix once; nothing is validated.
+        ``strongly_connected`` is taken as given when known (the caller
+        guarantees it) and computed from the two closures of node 0
+        otherwise; ``weight_balanced`` is always read off the columns.
+        """
+        m = _laplacian(weights)
         m.setflags(write=False)
         self.matrix = m
-        self.n = n
-        self.strongly_connected = bool(
-            _reached(m, [0]).all() and _reached(m.T, [0]).all()
-        )
+        self.n = m.shape[0]
+        if strongly_connected is None:
+            strongly_connected = bool(
+                _reached(m, [0]).all() and _reached(m.T, [0]).all()
+            )
+        self.strongly_connected = strongly_connected
         self.weight_balanced = bool(np.all(
             np.abs(m.sum(axis=0)) <= STRUCTURAL_TOL * np.abs(m).sum(axis=0)
         ))
         self._balancing = self._resistance = self._sym_pinv = self._kernel = None
+        return self
 
     def __repr__(self):
         flags = []
@@ -181,7 +213,7 @@ class SignedLaplacianQ:
         return f"SignedLaplacianQ(n={self.n}, {kind})"
 
 
-def _classify_q(matrix):
+def _classify_q(matrix, eig=None):
     """Signed-Laplacian class checks, behind ``SignedLaplacianQ``.
 
     Returns ``(failure, details, checked)``.  ``failure`` is ``None`` on
@@ -191,7 +223,10 @@ def _classify_q(matrix):
     residuals behind the verdict, and ``checked`` is the pair of the
     symmetrized matrix with recomputed diagonal and its eigendecomposition
     (``None`` on failure).  Callers that report a failure rather than raise
-    read it from here.
+    read it from here.  ``eig``, when given, is taken as the
+    eigendecomposition of the cleaned matrix and no ``eigh`` is run: a
+    ``SignedLaplacianQ``'s ``matrix`` is its own cleaned matrix, so its
+    ``eig`` serves.
     """
     try:
         m = as_square(matrix, "matrix")
@@ -212,7 +247,8 @@ def _classify_q(matrix):
     off = sym.copy()
     np.fill_diagonal(off, 0.0)
     cleaned = _laplacian(-off)
-    eig = sym_eig(cleaned)
+    if eig is None:
+        eig = sym_eig(cleaned)
     w = eig.values
     details["eigenvalue_min"] = float(w[-1])
     signature = _signature(w)
@@ -350,7 +386,11 @@ def weight_balance(lap: DirectedLaplacian) -> WeightBalancing:
             )
         m = lap.n * m / m.sum()
         m.setflags(write=False)
-        balanced = DirectedLaplacian(m[:, None] * lap.matrix)
+        # Scaling row i by m_i > 0 keeps every edge, so the balanced graph
+        # is strongly connected as lap is.
+        weights = -lap.matrix
+        np.fill_diagonal(weights, 0.0)
+        balanced = DirectedLaplacian._of(m[:, None] * weights, True)
         colsum = np.abs(balanced.matrix.sum(axis=0)) / np.diag(balanced.matrix)
         j = int(np.argmax(colsum))
         if colsum[j] > CONSTRUCTION_TOL:

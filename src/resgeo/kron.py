@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericError, StructureError, ValidationError
-from .graph import DirectedLaplacian, SignedLaplacianQ, _laplacian, _reached
+from .graph import DirectedLaplacian, SignedLaplacianQ, _reached
 from .linalg import normalize_indices, schur_complement
 
 
@@ -28,8 +28,11 @@ class PreservedFlags:
     """Structural properties of the reduced Laplacian.
 
     ``row_sums_zero`` and ``offdiag_nonpos`` hold by construction, since
-    :func:`kron_reduce` builds the reduced matrix as a directed Laplacian;
-    ``weight_balanced`` and ``strongly_connected`` are read off it.
+    :func:`kron_reduce` builds the reduced matrix as a directed Laplacian.
+    ``weight_balanced`` is read off the reduced columns.
+    ``strongly_connected`` is copied from a strongly connected input,
+    because Kron reduction keeps strong connectivity, and is computed by
+    the two closures otherwise.
     """
 
     row_sums_zero: bool
@@ -89,7 +92,9 @@ def kron_reduce(lap: DirectedLaplacian, keep) -> KronResult:
     off = schur_complement(lap.matrix, kept)
     np.fill_diagonal(off, 0.0)
     off[off > 0.0] = 0.0
-    reduced = DirectedLaplacian(_laplacian(-off))
+    # Kron reduction keeps strong connectivity, so only an input that is
+    # not strongly connected needs its reduced graph's closures.
+    reduced = DirectedLaplacian._of(-off, lap.strongly_connected or None)
     flags = PreservedFlags(
         row_sums_zero=True,
         offdiag_nonpos=True,

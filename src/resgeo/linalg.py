@@ -177,16 +177,23 @@ class Inertia:
     zero: int
 
 
+def _symmetrized(a):
+    """``(a + a^T) / 2`` of a square matrix symmetric within
+    ``STRUCTURAL_TOL`` of its magnitude; more asymmetry raises
+    :class:`ValidationError`."""
+    m = as_square(a)
+    asym = np.abs(m - m.T).max(initial=0.0)
+    if asym > STRUCTURAL_TOL * _scale(m):
+        raise ValidationError(f"matrix is not symmetric (asymmetry {asym:.3e})")
+    return (m + m.T) / 2.0
+
+
 def sym_eig(a):
     """Eigendecomposition of a square matrix symmetric within
     ``STRUCTURAL_TOL`` of its magnitude; more asymmetry is a contract
     violation.  Returns a :class:`SymEig` of descending eigenvalues and
     sign-fixed orthonormal eigenvectors."""
-    m = as_square(a)
-    asym = np.abs(m - m.T).max(initial=0.0)
-    if asym > STRUCTURAL_TOL * _scale(m):
-        raise ValidationError(f"matrix is not symmetric (asymmetry {asym:.3e})")
-    w, v = np.linalg.eigh((m + m.T) / 2.0)
+    w, v = np.linalg.eigh(_symmetrized(a))
     order = np.argsort(w)[::-1]
     w = w[order]
     v = np.ascontiguousarray(v[:, order])
@@ -240,8 +247,9 @@ def schur_complement(a, keep):
 
 
 def inertia(s):
-    """Signature of a symmetric matrix, counted by :func:`_signature`."""
-    return _signature(sym_eig(s).values)
+    """Signature of a symmetric matrix, counted by :func:`_signature` from
+    its eigenvalues alone, under the symmetry contract of :func:`sym_eig`."""
+    return _signature(np.linalg.eigvalsh(_symmetrized(s)))
 
 
 def _signature(w):

@@ -184,8 +184,11 @@ def _kron_preservation(rng, n_max):
     lap = gen.random_scwb_laplacian(n, rng)
     keep = gen.random_keep(n, rng, size=int(rng.integers(2, n)))
     result = kr.kron_reduce(lap, keep)
-    flags = result.preserved
-    return 0.0 if flags.strongly_connected and flags.weight_balanced else 1.0
+    # kron_reduce copies strong connectivity from its input; the closures
+    # here check that claim on the float result itself.
+    reduced = result.reduced.matrix
+    connected = gr._reached(reduced, [0]).all() and gr._reached(reduced.T, [0]).all()
+    return 0.0 if connected and result.preserved.weight_balanced else 1.0
 
 
 def _resistance_invariance(rng, n_max):

@@ -5,9 +5,9 @@ and ``Q^+`` formed from it; everything derived from ``Q`` reads those
 instead of factoring ``Q`` again.  A ``DirectedLaplacian`` fills in its
 balancing, resistance matrix, ``L_s^+`` and ``(L_s^+)^+`` on first use and
 keeps them the same way; its resistance matrix takes no SVD.  The counts
-below are the calls of ``numpy.linalg.svd``, ``eigh``, ``cond`` and
-``solve`` made by one library call.  The condition gate of ``solve_conditioned`` and ``schur_complement``
-takes one of two routes.  A block with a positive off-diagonal entry (a
+below are the calls of ``numpy.linalg.svd``, ``eigh``, ``eigvalsh``,
+``cond`` and ``solve`` made by one library call.  The condition gate of
+``solve_conditioned`` and ``schur_complement`` takes one of two routes.  A block with a positive off-diagonal entry (a
 resistance matrix, most ``K`` blocks) is one ``cond`` (whose own SVD is
 counted as a ``cond``, not as an ``svd``) and one ``solve``.  The
 eliminated block of a Kron reduction is a Z-matrix and takes two
@@ -67,9 +67,10 @@ Q30 = random_class_q(30, np.random.default_rng(30), ensure_signed=True)
 
 @pytest.fixture
 def kernels(monkeypatch):
-    """Calls of ``numpy.linalg.svd``, ``eigh``, ``cond`` and ``solve``."""
+    """Calls of ``numpy.linalg.svd``, ``eigh``, ``eigvalsh``, ``cond`` and
+    ``solve``."""
     counts = Counter()
-    for name in ("svd", "eigh", "cond", "solve"):
+    for name in ("svd", "eigh", "eigvalsh", "cond", "solve"):
         def counted(*args, _name=name, _call=getattr(np.linalg, name), **kwargs):
             counts[_name] += 1
             return _call(*args, **kwargs)
@@ -97,11 +98,20 @@ def test_cli_loads_a_signed_csv_with_one_eigh(kernels, q30_csv):
 
 def test_cli_check_reads_the_spectrum_of_a_signed_csv_off_its_eigh(
         kernels, q30_csv, capsys):
-    # One eigh to load Q and one for the class report; the symmetric
-    # spectrum is the class report's eigenvalues, not a third eigh.
+    # One eigh to load Q; the class report and the symmetric spectrum read
+    # the eigendecomposition the loaded Q holds.
     assert main(["check", q30_csv, "--as-laplacian"]) == 0
     capsys.readouterr()
-    assert (kernels["svd"], kernels["eigh"]) == (0, 2)
+    assert (kernels["svd"], kernels["eigh"]) == (0, 1)
+
+
+def test_cli_resistance_of_a_signed_csv_counts_its_inertia_from_eigvalsh(
+        kernels, q30_csv, capsys):
+    # One eigh to load Q and one for classify_metric's witness; the
+    # reported inertia takes eigenvalues alone.
+    assert main(["resistance", q30_csv, "--as-laplacian"]) == 0
+    capsys.readouterr()
+    assert (kernels["svd"], kernels["eigh"], kernels["eigvalsh"]) == (0, 2, 1)
 
 
 def test_cli_check_of_an_undirected_graph_takes_one_eigh(

@@ -1,8 +1,11 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from resgeo import graph
 from resgeo.errors import NumericError, StructureError, ValidationError
 from resgeo.generators import random_sc_laplacian, random_scwb_laplacian
 from resgeo.graph import (
@@ -14,6 +17,7 @@ from resgeo.graph import (
     sym_pinv,
     weight_balance,
 )
+from resgeo.kron import kron_reduce
 
 SHOWCASE = np.array([
     [3.0, -1.0, -2.0, 0.0],
@@ -268,3 +272,59 @@ def test_random_scwb_contract(seed, n):
     off = lap.matrix.copy()
     np.fill_diagonal(off, 0.0)
     assert off.max() <= 0.0
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """Calls of ``graph._laplacian``, of ``graph._reached`` and of the public
+    ``DirectedLaplacian`` constructor."""
+    counts = Counter()
+
+    def counter(name, call):
+        def counted(*args):
+            counts[name] += 1
+            return call(*args)
+        return counted
+    monkeypatch.setattr(graph, "_laplacian", counter("laplacian", graph._laplacian))
+    monkeypatch.setattr(graph, "_reached", counter("closure", graph._reached))
+    monkeypatch.setattr(DirectedLaplacian, "__init__",
+                        counter("constructor", DirectedLaplacian.__init__))
+    return counts
+
+
+def _sc(seed):
+    return random_sc_laplacian(12, np.random.default_rng(seed))
+
+
+@pytest.mark.parametrize("build, graphs", [
+    (lambda: _sc(1), 1),
+    (lambda: random_scwb_laplacian(12, np.random.default_rng(2)), 1),
+    (lambda: weight_balance(_sc(3)).balanced, 2),
+    (lambda: kron_reduce(_sc(4), [0, 3, 5, 8]).reduced, 2),
+], ids=["random_sc", "random_scwb", "weight_balance", "kron_reduce"])
+def test_library_builders_form_each_laplacian_once(builds, build, graphs):
+    # One Laplacian formed per graph, no public constructor, and no closure
+    # of graph._reached: each builder hands over the strong connectivity it
+    # guarantees.  (Kron's precondition closure is the kron module's.)
+    built = build()
+    assert builds == Counter(laplacian=graphs)
+    checked = DirectedLaplacian(built.matrix)
+    assert np.array_equal(checked.matrix, built.matrix)
+    assert (built.strongly_connected, built.weight_balanced) == (
+        checked.strongly_connected, checked.weight_balanced)
+    assert built.strongly_connected
+
+
+def test_kron_reduce_computes_the_flag_of_a_disconnected_input(builds):
+    # Node 0 is a sink: nothing leaves it, so the graph is not strongly
+    # connected, and neither is its reduction onto {0, 1, 2}.
+    lap = DirectedLaplacian(np.array([
+        [0.0, 0.0, 0.0, 0.0],
+        [-1.0, 2.0, -1.0, 0.0],
+        [0.0, -1.0, 2.0, -1.0],
+        [0.0, 0.0, -1.0, 1.0],
+    ]))
+    builds.clear()
+    reduced = kron_reduce(lap, [0, 1, 2]).reduced
+    assert not reduced.strongly_connected
+    assert builds == Counter(laplacian=1, closure=1)

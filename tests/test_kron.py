@@ -10,7 +10,7 @@ from resgeo.errors import (
     ValidationError,
 )
 from resgeo.generators import random_class_q, random_keep, random_scwb_laplacian
-from resgeo.graph import DirectedLaplacian, laplacian_from_edges
+from resgeo.graph import DirectedLaplacian, _reached, laplacian_from_edges
 from resgeo.kron import kron_reduce, kron_reduce_q
 from resgeo.linalg import schur_complement
 from resgeo.resistance import effective_resistance_directed
@@ -133,14 +133,19 @@ def test_spread_weights_reduce_and_match_gth(tmp_path, capsys):
     assert report["outputs"]["preserved"]["strongly_connected"]
     # Over the whole population only seed 27's eliminated block is refused,
     # by the condition gate; every other draw agrees with GTH elimination.
+    # The strong connectivity kron_reduce copies from its input is what
+    # fresh closures of the float result find.
     refused = []
     for seed in range(300):
         lap, _, keep = _spread_weight_laplacian(seed)
         try:
-            reduced = kron_reduce(lap, keep).reduced.matrix
+            result = kron_reduce(lap, keep).reduced
         except DegenerateBlockError:
             refused.append(seed)
             continue
+        reduced = result.matrix
+        closed = _reached(reduced, [0]).all() and _reached(reduced.T, [0]).all()
+        assert result.strongly_connected == closed, seed
         gth = _gth_kron(lap, keep)
         assert np.abs(reduced - gth).max() <= 1e-9 * np.abs(gth).max(), seed
     assert refused == [27]

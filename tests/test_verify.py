@@ -1,7 +1,9 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
-from resgeo import kron, verify
+from resgeo import graph, kron, verify
 from resgeo.generators import (
     random_class_q,
     random_keep,
@@ -84,6 +86,24 @@ def test_verification_is_deterministic():
     b = run_verification(seed=9, cases=3, n_max=6)
     assert [(r.name, r.max_residual) for r in a] == \
         [(r.name, r.max_residual) for r in b]
+
+
+def test_one_suite_runs_only_the_closures_it_checks(monkeypatch):
+    # The first seed-1 suite of the benchmark's verify-suite workload.  Its
+    # graphs all come from the library's own builders, which hand over
+    # their strong connectivity, so the closures left are Kron's
+    # precondition (372) and kron_structure_preserved's own check of the
+    # reduced graphs, two per case (20).
+    counts = Counter()
+
+    def counted(*args, _call=graph._reached):
+        counts["closure"] += 1
+        return _call(*args)
+    monkeypatch.setattr(graph, "_reached", counted)
+    monkeypatch.setattr(kron, "_reached", counted)
+    seed = int(np.random.SeedSequence([1, 0]).generate_state(1)[0])
+    assert all(r.passed for r in run_verification(seed, 10, 12))
+    assert counts["closure"] == 392
 
 
 @pytest.mark.parametrize("seed", [39, 148])

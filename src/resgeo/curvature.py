@@ -53,8 +53,8 @@ from .linalg import (
     ROUNDOFF_TOL,
     SUM_TOL,
     _scale,
+    _schur,
     normalize_indices,
-    schur_complement,
     solve_conditioned,
 )
 from .resistance import (
@@ -303,7 +303,7 @@ def check_commutativity(lap: DirectedLaplacian, keep) -> CommutativityCheck:
     """
     _require(lap, "check_commutativity", balanced=True)
     kept = normalize_indices(keep, lap.n, min_size=2)
-    lhs = schur_complement(_shared_kernel(lap), kept)
+    lhs = _schur(_shared_kernel(lap), kept)
     rhs = _shared_kernel(kron_reduce(lap, kept).reduced)
     residual = float(np.abs(lhs - rhs).max())
     return CommutativityCheck(lhs=lhs, rhs=rhs, residual=residual)
@@ -317,7 +317,7 @@ def check_noncommutativity(lap: DirectedLaplacian, keep) -> NoncommutativityWitn
     inputs the two coincide; for genuinely directed graphs they differ.
     """
     kept = normalize_indices(keep, lap.n, min_size=2)
-    lhs = schur_complement(_shared_sym_pinv(lap), kept)
+    lhs = _schur(_shared_sym_pinv(lap), kept)
     rhs = sym_pinv(kron_reduce(lap, kept).reduced)
     return NoncommutativityWitness(
         lhs=lhs, rhs=rhs, difference=float(np.abs(lhs - rhs).max())

@@ -26,7 +26,9 @@ closure: the set of nodes a directed search from a seed set reaches.  A
 graph is strongly connected when the forward and the backward closure of
 node 0 each cover every node, and Kron reduction onto a kept set is defined
 when the backward closure of that set (the nodes with a path into it)
-covers every node.
+covers every node; :func:`~resgeo.kron.kron_reduce` runs that closure
+only on a graph not known to be strongly connected, since on one that is
+every node reaches any kept set.
 
 A :class:`DirectedLaplacian` is immutable, so the factorizations every
 directed quantity derives from are computed at most once per object and

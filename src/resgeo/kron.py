@@ -4,7 +4,9 @@ Reducing a Laplacian onto a kept node set ``alpha`` forms the Schur
 complement ``L[a, a] - L[a, e] L[e, e]^{-1} L[e, a]`` over the eliminated
 block ``e``.  The structural precondition is that every eliminated node
 has a directed path into the kept set, which makes the eliminated block a
-nonsingular M-matrix.  The result is then again a directed Laplacian on
+nonsingular M-matrix.  Every node of a strongly connected graph has such
+a path, so the closure that checks it runs only on a graph not known to
+be strongly connected.  The result is then again a directed Laplacian on
 the kept nodes, and :func:`kron_reduce` builds it as one: the reduced
 edge weights are the complement's off-diagonal entries, and the diagonal
 is minus their row sums, so the diagonal's cancellation is never
@@ -20,7 +22,7 @@ import numpy as np
 
 from .errors import NumericError, StructureError, ValidationError
 from .graph import DirectedLaplacian, SignedLaplacianQ, _reached
-from .linalg import normalize_indices, schur_complement
+from .linalg import _schur, normalize_indices
 
 
 @dataclass(frozen=True)
@@ -57,7 +59,8 @@ def kron_reduce(lap: DirectedLaplacian, keep) -> KronResult:
     ----------
     lap : DirectedLaplacian
         Input graph; need not be strongly connected, but every eliminated
-        node must have a directed path into ``keep``.
+        node must have a directed path into ``keep``.  That is checked by
+        a closure only when ``lap.strongly_connected`` is false.
     keep : iterable of int
         At least two node indices to retain (0-based).
 
@@ -77,19 +80,20 @@ def kron_reduce(lap: DirectedLaplacian, keep) -> KronResult:
         anyway.
     """
     kept = normalize_indices(keep, lap.n, min_size=2)
-    unreachable = np.flatnonzero(~_reached(lap.matrix.T, kept)).tolist()
-    if unreachable:
-        raise StructureError(
-            f"nodes {unreachable} have no directed path into the kept set "
-            f"{kept.tolist()}; Kron reduction is undefined"
-        )
+    if not lap.strongly_connected:
+        unreachable = np.flatnonzero(~_reached(lap.matrix.T, kept)).tolist()
+        if unreachable:
+            raise StructureError(
+                f"nodes {unreachable} have no directed path into the kept "
+                f"set {kept.tolist()}; Kron reduction is undefined"
+            )
     # Every eliminated node reaches the kept set, so L[e, e] is a nonsingular
     # M-matrix, which the gate of _gated_solve certifies from its solves.
     # Then L[e, e]^{-1} >= 0, and with L[a, e], L[e, a] <= 0 the eliminated
     # term L[a, e] L[e, e]^{-1} L[e, a] is >= 0 entrywise: every reduced
     # off-diagonal entry is <= 0 up to the solve's roundoff, which the clamp
     # removes.  Clamping in place keeps the sign of a -0.0 entry.
-    off = schur_complement(lap.matrix, kept)
+    off = _schur(lap.matrix, kept)
     np.fill_diagonal(off, 0.0)
     off[off > 0.0] = 0.0
     # Kron reduction keeps strong connectivity, so only an input that is
@@ -116,7 +120,7 @@ def kron_reduce_q(q: SignedLaplacianQ, keep) -> SignedLaplacianQ:
     breakdown, not a bad input.
     """
     kept = normalize_indices(keep, q.n, min_size=2)
-    reduced = schur_complement(q.matrix, kept)
+    reduced = _schur(q.matrix, kept)
     try:
         return SignedLaplacianQ((reduced + reduced.T) / 2.0)
     except ValidationError as exc:

@@ -228,6 +228,10 @@ def schur_complement(a, keep):
     is a nonsingular M-matrix (every Kron elimination of a Laplacian), and
     ``kappa_2`` by SVD otherwise.
 
+    This public entry validates ``a`` and ``keep``; the work is done by
+    :func:`_schur`, which the package's own callers call directly once
+    they hold a float matrix and normalized indices.
+
     Raises
     ------
     DegenerateBlockError
@@ -235,15 +239,22 @@ def schur_complement(a, keep):
         exceeds ``COND_LIMIT``.
     """
     m = as_square(a)
-    n = m.shape[0]
-    kept = normalize_indices(keep, n)
-    elim = np.setdiff1d(np.arange(n), kept)
+    return _schur(m, normalize_indices(keep, m.shape[0]))
+
+
+def _schur(m, kept):
+    """:func:`schur_complement` of a square float ``m`` onto ``kept``
+    (ascending, unique, in range), with no validation."""
+    mask = np.ones(m.shape[0], dtype=bool)
+    mask[kept] = False
+    elim = np.flatnonzero(mask)
+    rows = kept[:, None]
     if elim.size == 0:
-        return m[np.ix_(kept, kept)].copy()
-    x = _gated_solve(m[np.ix_(elim, elim)], m[np.ix_(elim, kept)],
+        return m[rows, kept]
+    x = _gated_solve(m[elim[:, None], elim], m[elim[:, None], kept],
                      f"eliminated block over nodes {elim.tolist()}",
                      DegenerateBlockError)
-    return m[np.ix_(kept, kept)] - m[np.ix_(kept, elim)] @ x
+    return m[rows, kept] - m[rows, elim] @ x
 
 
 def inertia(s):

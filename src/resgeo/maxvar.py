@@ -12,11 +12,14 @@ other.
 
 Two solvers are provided.  :func:`solve_maxvar_exact` enumerates supports
 (largest first) and certifies the stationary distribution on each face;
-it is exponential and capped at 15 nodes.  :func:`solve_maxvar` is a
-primal active-set method (Wolfe 1976; Gaertner 1999): strict negative
-type makes the variance strictly concave on the simplex, so a finite run
-of face solves, adding the node of largest gradient and dropping nodes
-that reach zero, ends at the maximizer.
+it is exponential and capped at 15 nodes.  It solves all faces of one
+support size with one stacked ``np.linalg.solve`` and reads them in
+combination order; a stack with a singular block is solved face by
+face.  :func:`solve_maxvar` is a primal active-set method (Wolfe 1976;
+Gaertner 1999): strict negative type makes the variance strictly concave
+on the simplex, so a finite run of face solves, adding the node of
+largest gradient and dropping nodes that reach zero, ends at the
+maximizer.
 
 For unsigned graphs every support node has positive whole-graph
 curvature, so greedily discarding negative-curvature nodes is sound; for
@@ -147,24 +150,34 @@ def _kkt_residual(g, support):
     return float(max(0.0, g.max() - g[support].min()))
 
 
-def _face_point(om, nodes):
-    """Normalized solution of ``Omega[V, V] x = 1`` on the face ``nodes``.
+def _face_points(om, faces):
+    """Normalized solutions of ``Omega[V, V] x = 1`` on a stack of faces.
 
-    ``None`` when the face has fewer than two nodes, the block is
-    singular, or the solution is not finite or does not sum to a positive
-    value.  Whether the point is interior is left to the caller.
+    ``faces`` is a ``(C, k)`` array, one face ``V`` per row.  Returns the
+    faces that have a normalized solution, in their order, and those
+    solutions: a face has none when it has fewer than two nodes, its block
+    is singular, or its solution is not finite or does not sum to a
+    positive value.  Whether a point is interior is left to the caller.
+    The stack takes one ``np.linalg.solve``.  numpy refuses a whole stack
+    when one of its blocks is singular, and then each face is solved on
+    its own.
     """
-    if nodes.size < 2:
-        return None
-    block = om[np.ix_(nodes, nodes)]
+    if faces.shape[1] < 2:
+        return faces[:0], np.zeros((0, faces.shape[1]))
+    blocks = om[faces[:, :, None], faces[:, None, :]]
+    ones = np.ones(faces.shape + (1,))
     try:
-        x = np.linalg.solve(block, np.ones(nodes.size))
+        x = np.linalg.solve(blocks, ones)[:, :, 0]
     except np.linalg.LinAlgError:
-        return None
-    total = x.sum()
-    if not np.all(np.isfinite(x)) or total <= 0.0:
-        return None
-    return x / total
+        x = np.full(faces.shape, np.nan)
+        for c in range(len(faces)):
+            try:
+                x[c] = np.linalg.solve(blocks[c], ones[c])[:, 0]
+            except np.linalg.LinAlgError:
+                pass
+    total = x.sum(axis=1)
+    ok = np.isfinite(x).all(axis=1) & (total > 0.0)
+    return faces[ok], x[ok] / total[ok, None]
 
 
 def _certified(om, nodes, fv, tol_cert, method):
@@ -185,7 +198,12 @@ def solve_maxvar_exact(omega) -> MaxVarSolution:
     Scans supports by decreasing size, solves the stationarity system on
     each face, and returns the first strictly positive stationary
     distribution that passes the KKT check (unique by strict concavity on
-    the simplex for strict-negative-type ``Omega``).
+    the simplex for strict-negative-type ``Omega``).  The faces of one size
+    are solved as one stack, by one ``np.linalg.solve``, and read in
+    combination order, so the answer is the one a face-by-face scan
+    gives.  numpy refuses a whole stack when one of its blocks is
+    singular; that stack is then solved face by face, and the singular
+    faces are skipped.
 
     Raises
     ------
@@ -202,11 +220,10 @@ def solve_maxvar_exact(omega) -> MaxVarSolution:
         )
     tol_cert = KKT_TOL * _scale(om)
     for size in range(n, 1, -1):
-        for nodes in itertools.combinations(range(n), size):
-            nodes = np.array(nodes)
-            fv = _face_point(om, nodes)
-            if fv is None or fv.min() <= INTERIOR_TOL:
-                continue
+        faces = np.array(list(itertools.combinations(range(n), size)))
+        solved, points = _face_points(om, faces)
+        interior = points.min(axis=1) > INTERIOR_TOL
+        for nodes, fv in zip(solved[interior], points[interior]):
             solution = _certified(om, nodes, fv, tol_cert, "exact")
             if solution is not None:
                 return solution
@@ -259,10 +276,11 @@ def solve_maxvar(omega) -> MaxVarSolution:
                     f"no certified maximizer within {MAX_FACE_SOLVES} face solves "
                     f"(last residual {history[-1]:.3e})", history=history)
             solves += 1
-            fv = _face_point(om, nodes)
-            if fv is None:
+            solved, points = _face_points(om, nodes[None, :])
+            if not len(solved):
                 raise NumericError("a face system has no normalized solution; "
                                    "the matrix is not a valid resistance geometry")
+            fv = points[0]
             low = np.flatnonzero(fv <= INTERIOR_TOL)
             if low.size == 0:
                 break

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from resgeo import kron
 from resgeo.cli import main
 from resgeo.errors import (
     DegenerateBlockError,
@@ -71,6 +72,29 @@ def test_unreachable_keep_rejected():
     with pytest.raises(StructureError, match="2"):
         kron_reduce(dag, [0, 1])  # node 2 is a sink, nothing reaches back
     kron_reduce(dag, [1, 2])  # eliminating the source is fine
+
+
+def test_precondition_closure_runs_only_without_strong_connectivity(monkeypatch):
+    closures = []
+
+    def counted(*args):
+        closures.append(args)
+        return _reached(*args)
+    monkeypatch.setattr(kron, "_reached", counted)
+    # Every node of a strongly connected graph reaches any kept set.
+    assert SHOWCASE.strongly_connected
+    for keep in ([0, 1, 3], [0, 3], [1, 2], range(4)):
+        kron_reduce(SHOWCASE, keep)
+    assert closures == []
+    dag = laplacian_from_edges(4, [(0, 1, 1.0), (0, 2, 1.0), (1, 2, 1.0),
+                                   (3, 2, 1.0)])
+    assert not dag.strongly_connected
+    with pytest.raises(StructureError, match=r"nodes \[2\] have no directed "
+                                             r"path into the kept set \[0, 1, 3\]"):
+        kron_reduce(dag, [0, 1, 3])
+    assert len(closures) == 1
+    assert kron_reduce(dag, [1, 2, 3]).kept.tolist() == [1, 2, 3]
+    assert len(closures) == 2
 
 
 def _leaky_cycle(weight):

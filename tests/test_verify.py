@@ -91,9 +91,10 @@ def test_verification_is_deterministic():
 def test_one_suite_runs_only_the_closures_it_checks(monkeypatch):
     # The first seed-1 suite of the benchmark's verify-suite workload.  Its
     # graphs all come from the library's own builders, which hand over
-    # their strong connectivity, so the closures left are Kron's
-    # precondition (372) and kron_structure_preserved's own check of the
-    # reduced graphs, two per case (20).
+    # their strong connectivity, and Kron reduction of a strongly connected
+    # graph runs no precondition closure, so the closures left are
+    # kron_structure_preserved's own check of the reduced graphs, two per
+    # case (20).
     counts = Counter()
 
     def counted(*args, _call=graph._reached):
@@ -103,7 +104,7 @@ def test_one_suite_runs_only_the_closures_it_checks(monkeypatch):
     monkeypatch.setattr(kron, "_reached", counted)
     seed = int(np.random.SeedSequence([1, 0]).generate_state(1)[0])
     assert all(r.passed for r in run_verification(seed, 10, 12))
-    assert counts["closure"] == 392
+    assert counts["closure"] == 20
 
 
 @pytest.mark.parametrize("seed", [39, 148])
